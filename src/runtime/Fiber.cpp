@@ -7,10 +7,104 @@
 
 #include <cassert>
 #include <cstdint>
+#include <new>
 #include <sys/mman.h>
 #include <unistd.h>
 
 using namespace fsmc;
+
+#if !defined(__x86_64__)
+#error "fsmc_fiber_switch and Fiber::initWithEntry's first frame are x86-64 System V only; port both to this architecture"
+#endif
+
+extern "C" {
+/// Pushes the callee-saved state onto the current stack, stores the stack
+/// pointer to *SaveSp and resumes the context whose stack pointer is
+/// NewSp. Returns when some later switch resumes *SaveSp.
+void fsmc_fiber_switch(void **SaveSp, void *NewSp);
+/// Where a fresh fiber's first switch returns to: calls rbx's function
+/// with r12 as its argument. No caller frame exists above it.
+void fsmc_fiber_start();
+}
+
+// The saved frame, from the stored stack pointer up: MXCSR (4 bytes) and
+// the x87 control word (2) in one 8-byte slot, r15, r14, r13, r12, rbx,
+// rbp, return address. The CFI tracks the frame's size, so a backtrace
+// taken inside the switch is well-formed on either stack.
+asm(R"(
+  .text
+  .p2align 4
+  .globl fsmc_fiber_switch
+  .hidden fsmc_fiber_switch
+  .type fsmc_fiber_switch, @function
+fsmc_fiber_switch:
+  .cfi_startproc
+  pushq %rbp
+  .cfi_adjust_cfa_offset 8
+  pushq %rbx
+  .cfi_adjust_cfa_offset 8
+  pushq %r12
+  .cfi_adjust_cfa_offset 8
+  pushq %r13
+  .cfi_adjust_cfa_offset 8
+  pushq %r14
+  .cfi_adjust_cfa_offset 8
+  pushq %r15
+  .cfi_adjust_cfa_offset 8
+  subq $8, %rsp
+  .cfi_adjust_cfa_offset 8
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  .cfi_adjust_cfa_offset -8
+  popq %r15
+  .cfi_adjust_cfa_offset -8
+  popq %r14
+  .cfi_adjust_cfa_offset -8
+  popq %r13
+  .cfi_adjust_cfa_offset -8
+  popq %r12
+  .cfi_adjust_cfa_offset -8
+  popq %rbx
+  .cfi_adjust_cfa_offset -8
+  popq %rbp
+  .cfi_adjust_cfa_offset -8
+  ret
+  .cfi_endproc
+  .size fsmc_fiber_switch, .-fsmc_fiber_switch
+
+  .p2align 4
+  .globl fsmc_fiber_start
+  .hidden fsmc_fiber_start
+  .type fsmc_fiber_start, @function
+fsmc_fiber_start:
+  .cfi_startproc
+  .cfi_undefined %rip
+  movq %r12, %rdi
+  callq *%rbx
+  ud2
+  .cfi_endproc
+  .size fsmc_fiber_start, .-fsmc_fiber_start
+)");
+
+namespace {
+/// What fsmc_fiber_switch pops on the first switch to a fresh fiber.
+struct FirstFrame {
+  uint32_t Mxcsr;
+  uint16_t Fcw;
+  uint16_t Pad;
+  void *R15, *R14, *R13;
+  Fiber *R12;           ///< Argument of the entry below.
+  void (*Rbx)(Fiber *); ///< Entry fsmc_fiber_start calls.
+  void *Rbp;            ///< 0: frame-pointer unwinds stop at the base.
+  void (*Ret)();
+};
+static_assert(sizeof(FirstFrame) == 64, "layout popped by fsmc_fiber_switch");
+} // namespace
 
 #if FSMC_ASAN
 namespace {
@@ -60,15 +154,12 @@ void Fiber::releaseStack() {
 }
 
 void Fiber::initAsHost() {
-  // Nothing to do: the first switchTo() away from the host fills Ctx via
-  // getcontext-like semantics of swapcontext.
+  // Nothing to do: the first switchTo() away from the host saves its
+  // context.
   assert(!StackBase && "host fiber must not own a stack");
 }
 
-void Fiber::trampoline(unsigned HiHalf, unsigned LoHalf) {
-  // makecontext only passes ints; reassemble the Fiber pointer.
-  auto Bits = (uint64_t(HiHalf) << 32) | uint64_t(LoHalf);
-  auto *Self = reinterpret_cast<Fiber *>(uintptr_t(Bits));
+void Fiber::start(Fiber *Self) {
 #if FSMC_ASAN
   // First activation of this fiber: complete the switch ASan saw begin in
   // switchTo, and learn the host stack's extent from it (the stack we
@@ -109,10 +200,17 @@ bool Fiber::initWithEntry(size_t StackBytes, EntryFn Entry, void *Arg,
     this->Pool = Pool;
   }
 
-  getcontext(&Ctx);
-  Ctx.uc_stack.ss_sp = StackBase + Page;
-  Ctx.uc_stack.ss_size = Usable;
-  Ctx.uc_link = nullptr;
+  // The stack top is page-aligned, so once the first switch pops this
+  // frame, fsmc_fiber_start runs with rsp 16-byte aligned before its call,
+  // as the ABI requires. The fiber starts in the FP control state of the
+  // context that created it.
+  auto *Frame = new (StackBase + MappedBytes - sizeof(FirstFrame)) FirstFrame{};
+  Frame->Mxcsr = __builtin_ia32_stmxcsr();
+  asm volatile("fnstcw %0" : "=m"(Frame->Fcw));
+  Frame->R12 = this;
+  Frame->Rbx = &Fiber::start;
+  Frame->Ret = &fsmc_fiber_start;
+  Sp = Frame;
   AsanStackBottom = StackBase + Page;
   AsanStackSize = Usable;
 #if FSMC_TSAN
@@ -125,9 +223,6 @@ bool Fiber::initWithEntry(size_t StackBytes, EntryFn Entry, void *Arg,
 
   this->Entry = Entry;
   this->EntryArg = Arg;
-  auto Bits = uint64_t(uintptr_t(this));
-  makecontext(&Ctx, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
-              unsigned(Bits >> 32), unsigned(Bits & 0xffffffffu));
   return true;
 }
 
@@ -148,11 +243,11 @@ void Fiber::switchTo(Fiber &From, Fiber &To) {
   size_t Size = To.StackBase ? To.AsanStackSize : HostStackSize;
   void *FakeStack = nullptr;
   __sanitizer_start_switch_fiber(&FakeStack, Bottom, Size);
-  [[maybe_unused]] int RC = swapcontext(&From.Ctx, &To.Ctx);
+#endif
+  assert(To.Sp && "switching to a fiber with no saved context");
+  fsmc_fiber_switch(&From.Sp, To.Sp);
+#if FSMC_ASAN
   // Control came back to From (possibly much later, from another fiber).
   __sanitizer_finish_switch_fiber(FakeStack, nullptr, nullptr);
-#else
-  [[maybe_unused]] int RC = swapcontext(&From.Ctx, &To.Ctx);
 #endif
-  assert(RC == 0 && "swapcontext failed");
 }

@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// User-space execution contexts (fibers) built on POSIX ucontext.
+/// User-space execution contexts (fibers) with a register-only switch.
 ///
 /// CHESS intercepts Win32/.NET synchronization calls made by real OS
 /// threads and serializes them with semaphores. This repository substitutes
@@ -22,7 +22,6 @@
 #define FSMC_RUNTIME_FIBER_H
 
 #include <cstddef>
-#include <ucontext.h>
 
 namespace fsmc {
 
@@ -47,7 +46,7 @@ public:
   Fiber &operator=(const Fiber &) = delete;
 
   /// Marks this fiber as the host (controller) context. No stack is
-  /// allocated; the context is filled in by the first switch away from it.
+  /// allocated; the context is saved by the first switch away from it.
   void initAsHost();
 
   /// Arranges for \p Entry(\p Arg) to run when this fiber is first
@@ -79,9 +78,12 @@ public:
   static constexpr size_t DefaultStackBytes = 256 * 1024;
 
 private:
-  static void trampoline(unsigned HiHalf, unsigned LoHalf);
+  static void start(Fiber *Self);
 
-  ucontext_t Ctx = {};
+  /// Stack pointer of the suspended context; its saved registers sit
+  /// just above it. Null until the first switch away (host) or
+  /// initWithEntry (which builds a first frame by hand).
+  void *Sp = nullptr;
   char *StackBase = nullptr; ///< mmap base (guard page + usable stack).
   size_t MappedBytes = 0;
   StackPool *Pool = nullptr; ///< Where StackBase goes back on release.

@@ -21,7 +21,7 @@ namespace {
   // loop under optimization.
   volatile unsigned Sink = 0;
   for (;;)
-    ++Sink;
+    Sink = Sink + 1;
 }
 
 void fire(CrashFaultConfig::Fault Kind) {

@@ -17,7 +17,7 @@ TEST(HeapCanonicalizer, NullIsZero) {
 
 TEST(HeapCanonicalizer, FirstVisitOrderNames) {
   HeapCanonicalizer C;
-  int A, B;
+  int A = 0, B = 0;
   EXPECT_EQ(C.idOf(&A), 1u);
   EXPECT_EQ(C.idOf(&B), 2u);
   EXPECT_EQ(C.idOf(&A), 1u) << "revisits keep their name";

@@ -205,10 +205,14 @@ TEST_F(RunTool, SigintPorRunCheckpointsAndResumes) {
   // checkpoint carries the POR stat keys (v2 format) and resumes under
   // the same flag. Exact interrupted-vs-straight stats equality is
   // pinned in-process by Resume.PorInterruptedSearchMatchesUninterrupted;
-  // this covers the tool-level plumbing end to end.
+  // this covers the tool-level plumbing end to end. The search must
+  // outlast the SIGINT delay: the reduced peterson search finishes in
+  // about half a second on a Release build, dryad-fifo's runs for many
+  // seconds. Its catalogue name differs from its workload name
+  // (fifomux), so the resume also pins which one the checkpoint keeps.
   std::string Ckpt = Dir + "/por.ckpt";
   std::string Stats = Dir + "/stats.json";
-  pid_t Pid = spawn({"--program=peterson", "--por=on",
+  pid_t Pid = spawn({"--program=dryad-fifo", "--por=on",
                      "--checkpoint=" + Ckpt, "--stats-json=" + Stats,
                      "--quiet"});
   ASSERT_GT(Pid, 0);
@@ -222,6 +226,7 @@ TEST_F(RunTool, SigintPorRunCheckpointsAndResumes) {
 
   std::string CkptText = slurp(Ckpt);
   EXPECT_TRUE(contains(CkptText, "fsmc-ckpt 3")) << CkptText.substr(0, 80);
+  EXPECT_TRUE(contains(CkptText, "program dryad-fifo"));
   EXPECT_TRUE(contains(CkptText, "stat por_sleep_hits"));
 
   std::string Json = slurp(Stats);

@@ -929,9 +929,11 @@ int main(int Argc, char **Argv) {
     sigaction(SIGINT, &SA, nullptr);
     sigaction(SIGTERM, &SA, nullptr);
   }
+  // Checkpoints record the catalogue name --resume looks up, which for
+  // some workloads differs from Program.Name (e.g. dryad-fifo/fifomux).
   if (!CheckpointPath.empty() && Opts.CheckpointEvery)
     Opts.CheckpointSink = [&](const CheckpointState &CK) {
-      if (!writeCheckpointFile(CheckpointPath, CK, Program.Name, Opts.Seed))
+      if (!writeCheckpointFile(CheckpointPath, CK, ProgramName, Opts.Seed))
         errs() << "warning: cannot write checkpoint " << CheckpointPath
                << "\n";
     };
@@ -973,7 +975,7 @@ int main(int Argc, char **Argv) {
   // lost, which the summary calls out.
   bool CheckpointSaved = false;
   if (R.Stats.Interrupted && R.Resume && !CheckpointPath.empty()) {
-    if (writeCheckpointFile(CheckpointPath, *R.Resume, Program.Name,
+    if (writeCheckpointFile(CheckpointPath, *R.Resume, ProgramName,
                             Opts.Seed))
       CheckpointSaved = true;
     else

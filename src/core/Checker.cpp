@@ -39,35 +39,22 @@ const char *fsmc::verdictName(Verdict V) {
   return "?";
 }
 
+namespace {
+
+template <StatMerge M, typename T> void mergeStat(T &Into, const T &From) {
+  if constexpr (M == StatMerge::Sum)
+    Into += From;
+  else if constexpr (M == StatMerge::Max)
+    Into = std::max(Into, From);
+}
+
+} // namespace
+
 void fsmc::mergeSearchStats(SearchStats &Into, const SearchStats &From) {
-  Into.Executions += From.Executions;
-  Into.Transitions += From.Transitions;
-  Into.Preemptions += From.Preemptions;
-  Into.NonterminatingExecutions += From.NonterminatingExecutions;
-  Into.PrunedExecutions += From.PrunedExecutions;
-  Into.PorBranchesPruned += From.PorBranchesPruned;
-  Into.PorSleepHits += From.PorSleepHits;
-  Into.PorFairWakes += From.PorFairWakes;
-  Into.MaxDepth = std::max(Into.MaxDepth, From.MaxDepth);
-  Into.FairEdgeAdditions += From.FairEdgeAdditions;
-  Into.BugsFound += From.BugsFound;
-  Into.MaxThreads = std::max(Into.MaxThreads, From.MaxThreads);
-  Into.MaxSyncOps = std::max(Into.MaxSyncOps, From.MaxSyncOps);
-  Into.Divergences += From.Divergences;
-  Into.DivergenceRetries += From.DivergenceRetries;
-  Into.Crashes += From.Crashes;
-  Into.Hangs += From.Hangs;
-  Into.Checkpoints += From.Checkpoints;
-  Into.RacesChecked += From.RacesChecked;
-  Into.RacesFound += From.RacesFound;
-  Into.FleetWorkerCrashes += From.FleetWorkerCrashes;
-  Into.FleetReissues += From.FleetReissues;
-  Into.FleetRespawns += From.FleetRespawns;
-  Into.FleetQuarantined += From.FleetQuarantined;
-  Into.StateHits += From.StateHits;
-  Into.BufferedStores += From.BufferedStores;
-  Into.StoreFlushes += From.StoreFlushes;
-  Into.EstimateMass += From.EstimateMass;
+#define FSMC_STAT_MERGE(Type, Member, Key, Merge, Json)                        \
+  mergeStat<StatMerge::Merge>(Into.Member, From.Member);
+  FSMC_SEARCH_STATS(FSMC_STAT_MERGE)
+#undef FSMC_STAT_MERGE
 }
 
 void fsmc::finalizeRaces(CheckResult &R, const CheckerOptions &Opts) {

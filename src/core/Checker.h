@@ -36,6 +36,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace fsmc {
@@ -96,96 +97,130 @@ struct BugReport {
   uint64_t AtStep = 0;     ///< Transition count when detected.
 };
 
-/// Aggregate statistics of a search; the benches derive every table and
-/// figure from these.
-struct SearchStats {
-  uint64_t Executions = 0;
-  uint64_t Transitions = 0;
-  uint64_t Preemptions = 0;
-  /// Executions abandoned at the depth bound / hard cap without
-  /// terminating -- the wasted work metric of Figure 2.
-  uint64_t NonterminatingExecutions = 0;
-  /// Executions pruned by the stateful reference search.
-  uint64_t PrunedExecutions = 0;
-  /// Executions cut by sleep-set partial-order reduction: every
-  /// schedulable move slept, so the subtree is covered by an equivalent
-  /// interleaving explored elsewhere (docs/POR.md).
-  uint64_t PorBranchesPruned = 0;
-  /// Sleeping threads removed from candidate sets at scheduling points --
-  /// the per-branch work POR saved.
-  uint64_t PorSleepHits = 0;
-  /// Sleeping threads woken because they were the only fairness-allowed
-  /// choices left: under the fair scheduler a sleeping transition is
-  /// woken, never dropped (docs/POR.md).
-  uint64_t PorFairWakes = 0;
-  uint64_t MaxDepth = 0;
-  /// Distinct state signatures seen (when coverage tracking is on).
-  uint64_t DistinctStates = 0;
-  /// Revisits of already-seen signatures (when coverage tracking is on):
-  /// every signature lookup is either a new DistinctStates entry or a
-  /// StateHits increment, so DistinctStates + StateHits = lookups.
-  uint64_t StateHits = 0;
-  /// Priority edges the fair scheduler added across the whole search.
-  uint64_t FairEdgeAdditions = 0;
-  /// Total buggy executions seen (> 1 only with StopOnFirstBug = false).
-  uint64_t BugsFound = 0;
-  int MaxThreads = 0;        ///< Table 1 "Threads".
-  uint64_t MaxSyncOps = 0;   ///< Table 1 "Synch Ops".
-  double Seconds = 0;
-  /// Schedule prefixes discarded because they would not replay even after
-  /// the configured retries (robustness layer; see docs/ROBUSTNESS.md).
-  uint64_t Divergences = 0;
-  /// Re-executions spent trying to get a mismatching prefix to replay.
-  uint64_t DivergenceRetries = 0;
-  /// Isolated executions (or quarantined fleet units) that died on a
-  /// signal / unexpected exit.
-  uint64_t Crashes = 0;
-  /// Isolated executions killed by the hang watchdog.
-  uint64_t Hangs = 0;
-  /// Checkpoints written (periodic + on interrupt).
-  uint64_t Checkpoints = 0;
-  /// Plain-variable accesses race-checked (RaceCheckMode on/fatal).
-  uint64_t RacesChecked = 0;
-  /// Distinct data races found (deduplicated by race description).
-  uint64_t RacesFound = 0;
-  /// Fleet mode (--fleet=N; docs/FLEET.md). Zero on every non-fleet run
-  /// and on every healthy fleet run, so stats-json omits zero values and
-  /// legacy output stays byte-identical.
-  /// Worker processes that died (signal or unexpected exit) mid-search.
-  uint64_t FleetWorkerCrashes = 0;
-  /// Work units re-issued to a surviving worker after their holder died
-  /// or missed its heartbeat deadline.
-  uint64_t FleetReissues = 0;
-  /// Replacement workers forked after a death, within the restart budget.
-  uint64_t FleetRespawns = 0;
-  /// Work units quarantined after killing K consecutive workers; each
-  /// becomes a replayable Verdict::Crash incident.
-  uint64_t FleetQuarantined = 0;
-  /// Weak-memory exploration (--memory=tso|pso; docs/MEMORY.md). Zero
-  /// under --memory=sc, so stats-json omits them and sc output stays
-  /// byte-identical.
-  /// Stores enqueued into per-thread store buffers.
-  uint64_t BufferedStores = 0;
-  /// Buffered stores committed to memory (by flush agents, fences, or
-  /// implicit drains at sync operations).
-  uint64_t StoreFlushes = 0;
-  /// Knuth weighted-backtrack estimator mass (CheckerOptions::Estimate):
-  /// each counted execution contributes the product of 1/branch-factor
-  /// over the backtrackable records on its path, so the masses partition
-  /// the choice tree and sum to exactly 1.0 at exhaustion. The online
-  /// tree-size estimate is Executions / EstimateMass (docs/
-  /// OBSERVABILITY.md covers the early-run bias caveat).
-  double EstimateMass = 0;
-  bool TimedOut = false;        ///< Time budget exhausted.
-  bool ExecutionCapHit = false; ///< MaxExecutions reached.
-  bool SearchExhausted = false; ///< DFS enumerated every execution.
-  bool Interrupted = false;     ///< Stopped by CheckerOptions::InterruptFlag.
+/// How mergeSearchStats combines a SearchStats row of two search parts.
+enum class StatMerge {
+  Sum, ///< Counts add.
+  Max, ///< Maxima take the larger.
+  Run, ///< A fact of one run that the aggregating engine sets (budget
+       ///< flags, wall time, the distinct-state count): never merged and
+       ///< never written to a checkpoint.
 };
 
-/// Accumulates \p From into \p Into: counters add, maxima take the max.
-/// Budget flags (TimedOut &c.) stay owned by the aggregating driver and
-/// are not merged. Shared by the parallel driver, the fleet coordinator,
-/// and checkpoint resume.
+/// Where a SearchStats row appears in the --stats-json "stats" block.
+enum class StatJson {
+  Always,     ///< Every report.
+  OmitAtZero, ///< Only when nonzero, so reports of runs that never touch
+              ///< the row's layer keep their legacy bytes.
+  Hidden,     ///< Never (reported in another section, or not at all).
+};
+
+/// The SearchStats catalogue, one row per statistic:
+///
+///   X(type, member, key, StatMerge rule, StatJson rule)
+///
+/// The key names the row in --stats-json and in checkpoint files. The
+/// struct, mergeSearchStats, the checkpoint writer and reader
+/// (core/Checkpoint.cpp) and the "stats" block of --stats-json
+/// (obs/StatsJson.cpp) are all generated from this table, and the
+/// "stats" block lists its rows in table order. Adding a statistic is
+/// one row plus its increment site.
+#define FSMC_SEARCH_STATS(X)                                                 \
+  X(uint64_t, Executions, "executions", Sum, Always)                         \
+  X(uint64_t, Transitions, "transitions", Sum, Always)                       \
+  X(uint64_t, Preemptions, "preemptions", Sum, Always)                       \
+  /* Executions abandoned at the depth bound / hard cap without           */ \
+  /* terminating -- the wasted work metric of Figure 2.                   */ \
+  X(uint64_t, NonterminatingExecutions, "nonterminating_executions", Sum,    \
+    Always)                                                                  \
+  /* Executions pruned by the stateful reference search.                  */ \
+  X(uint64_t, PrunedExecutions, "pruned_executions", Sum, Always)            \
+  /* Sleep-set partial-order reduction (docs/POR.md). Sleeping threads    */ \
+  /* removed from candidate sets at scheduling points -- the per-branch   */ \
+  /* work POR saved.                                                      */ \
+  X(uint64_t, PorSleepHits, "por_sleep_hits", Sum, OmitAtZero)               \
+  /* Executions cut because every schedulable move slept: the subtree is  */ \
+  /* covered by an equivalent interleaving explored elsewhere.            */ \
+  X(uint64_t, PorBranchesPruned, "por_branches_pruned", Sum, OmitAtZero)     \
+  /* Sleeping threads woken because they were the only fairness-allowed   */ \
+  /* choices left: a sleeping transition is woken, never dropped.         */ \
+  X(uint64_t, PorFairWakes, "por_fair_wakes", Sum, OmitAtZero)               \
+  X(uint64_t, MaxDepth, "max_depth", Max, Always)                            \
+  /* Distinct state signatures seen (when coverage tracking is on).       */ \
+  X(uint64_t, DistinctStates, "distinct_states", Run, Always)                \
+  /* Revisits of already-seen signatures (when coverage tracking is on):  */ \
+  /* every lookup is either a new DistinctStates entry or a StateHits     */ \
+  /* increment. Reported in the "coverage" section.                       */ \
+  X(uint64_t, StateHits, "state_hits", Sum, Hidden)                          \
+  /* Priority edges the fair scheduler added across the whole search.     */ \
+  X(uint64_t, FairEdgeAdditions, "fair_edge_additions", Sum, Always)         \
+  /* Total buggy executions seen (> 1 only with StopOnFirstBug = false).  */ \
+  X(uint64_t, BugsFound, "bugs_found", Sum, Always)                          \
+  X(int, MaxThreads, "max_threads", Max, Always)      /* Table 1 Threads */  \
+  X(uint64_t, MaxSyncOps, "max_sync_ops", Max, Always) /* Table 1 Synch */   \
+  /* Robustness layer (docs/ROBUSTNESS.md). Schedule prefixes discarded   */ \
+  /* because they would not replay even after the configured retries.     */ \
+  X(uint64_t, Divergences, "divergences", Sum, OmitAtZero)                   \
+  /* Re-executions spent trying to get a mismatching prefix to replay.    */ \
+  X(uint64_t, DivergenceRetries, "divergence_retries", Sum, OmitAtZero)      \
+  /* Isolated executions (or quarantined fleet units) that died on a      */ \
+  /* signal or unexpected exit.                                           */ \
+  X(uint64_t, Crashes, "crashes", Sum, OmitAtZero)                           \
+  /* Isolated executions killed by the hang watchdog.                     */ \
+  X(uint64_t, Hangs, "hangs", Sum, OmitAtZero)                               \
+  /* Checkpoints written (periodic + on interrupt).                       */ \
+  X(uint64_t, Checkpoints, "checkpoints", Sum, OmitAtZero)                   \
+  /* Plain-variable accesses race-checked (RaceCheckMode on/fatal).       */ \
+  X(uint64_t, RacesChecked, "races_checked", Sum, OmitAtZero)                \
+  /* Distinct data races found (deduplicated by race description).        */ \
+  X(uint64_t, RacesFound, "races_found", Sum, OmitAtZero)                    \
+  /* Fleet recovery (--fleet=N; docs/FLEET.md), zero on healthy runs.     */ \
+  /* Worker processes that died (signal or unexpected exit) mid-search.   */ \
+  X(uint64_t, FleetWorkerCrashes, "fleet_worker_crashes", Sum, OmitAtZero)   \
+  /* Work units leased again to a surviving worker after their holder     */ \
+  /* died or missed its heartbeat deadline.                               */ \
+  X(uint64_t, FleetReissues, "fleet_reissues", Sum, OmitAtZero)              \
+  /* Replacement workers forked after a death, within the restart budget. */ \
+  X(uint64_t, FleetRespawns, "fleet_respawns", Sum, OmitAtZero)              \
+  /* Work units quarantined after killing K consecutive workers; each     */ \
+  /* becomes a replayable Verdict::Crash incident.                        */ \
+  X(uint64_t, FleetQuarantined, "fleet_quarantined", Sum, OmitAtZero)        \
+  /* Weak-memory exploration (--memory=tso|pso; docs/MEMORY.md), zero     */ \
+  /* under sc. Stores enqueued into per-thread store buffers.             */ \
+  X(uint64_t, BufferedStores, "buffered_stores", Sum, OmitAtZero)            \
+  /* Buffered stores committed to memory (by flush agents, fences, or     */ \
+  /* implicit drains at sync operations).                                 */ \
+  X(uint64_t, StoreFlushes, "store_flushes", Sum, OmitAtZero)                \
+  /* Knuth weighted-backtrack estimator mass (CheckerOptions::Estimate):  */ \
+  /* each counted execution contributes the product of 1/branch-factor    */ \
+  /* over the backtrackable records on its path, so the masses partition  */ \
+  /* the choice tree and sum to exactly 1.0 at exhaustion. The tree-size  */ \
+  /* estimate is Executions / EstimateMass (the "estimate" section;       */ \
+  /* docs/OBSERVABILITY.md covers the early-run bias caveat).             */ \
+  X(double, EstimateMass, "estimate_mass", Sum, Hidden)                      \
+  /* Stopped by CheckerOptions::InterruptFlag.                            */ \
+  X(bool, Interrupted, "interrupted", Run, OmitAtZero)                       \
+  X(double, Seconds, "seconds", Run, Always)                                 \
+  X(bool, TimedOut, "timed_out", Run, Always) /* Time budget exhausted. */   \
+  X(bool, ExecutionCapHit, "execution_cap_hit", Run, Always)                 \
+  /* DFS enumerated every execution.                                      */ \
+  X(bool, SearchExhausted, "search_exhausted", Run, Always)
+
+/// Aggregate statistics of a search (rows: FSMC_SEARCH_STATS); the
+/// benches derive every table and figure from these.
+struct SearchStats {
+#define FSMC_STAT_FIELD(Type, Member, Key, Merge, Json) Type Member{};
+  FSMC_SEARCH_STATS(FSMC_STAT_FIELD)
+#undef FSMC_STAT_FIELD
+};
+
+// The fleet's wire protocol (core/Wire.h) sends SearchStats as raw bytes.
+static_assert(std::is_trivially_copyable_v<SearchStats>,
+              "SearchStats must stay trivially copyable");
+
+/// Accumulates \p From into \p Into by each row's StatMerge rule. Run rows
+/// (budget flags, seconds, the distinct-state count) stay owned by the
+/// aggregating engine. Shared by the parallel engine, the fleet
+/// coordinator, and checkpoint resume.
 void mergeSearchStats(SearchStats &Into, const SearchStats &From);
 
 /// Happens-before data race detection over plain shared variables

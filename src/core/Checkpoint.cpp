@@ -3,21 +3,19 @@
 #include "core/Checkpoint.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 using namespace fsmc;
 
-// Version 3 adds the weak-memory stat keys and flush-mask suffixes inside
-// unit schedules (core/Schedule.h); version 2 added the POR stat keys and
-// sleep-mask suffixes. Version-1 and version-2 files are still read, and
-// a checkpoint written without --por and with --memory=sc is parseable by
-// older readers (unknown stat keys are skipped, masks never appear).
+// Version 3 added the weak-memory stat keys and flush-mask suffixes inside
+// unit schedules (core/Schedule.h); version 2 the POR stat keys and
+// sleep-mask suffixes. Older versions are no longer read.
 static const char *CheckpointMagic = "fsmc-ckpt 3";
-static const char *CheckpointMagicV2 = "fsmc-ckpt 2";
-static const char *CheckpointMagicV1 = "fsmc-ckpt 1";
 
 namespace {
 
@@ -71,6 +69,53 @@ bool parseVerdictWire(const std::string &S, Verdict &V) {
   return true;
 }
 
+/// Writes one checkpointed stat row if it is nonzero (absent keys read as
+/// zero): integers as decimal 'stat' lines, doubles as lossless hexfloat
+/// 'statf' lines. Run rows are per-run facts and never persisted.
+template <StatMerge M, typename T>
+void putStat(std::ostream &OS, const char *Key, const T &V) {
+  if constexpr (M != StatMerge::Run) {
+    if (V == T())
+      return;
+    if constexpr (std::is_floating_point_v<T>) {
+      char Buf[48];
+      snprintf(Buf, sizeof Buf, "%a", V);
+      OS << "statf " << Key << " " << Buf << "\n";
+    } else {
+      OS << "stat " << Key << " " << uint64_t(V) << "\n";
+    }
+  }
+}
+
+/// Parses a whole-token stat value into \p V; false if malformed.
+template <typename T> bool parseStat(const std::string &Tok, T &V) {
+  const char *Begin = Tok.c_str(), *End = Begin + Tok.size();
+  if constexpr (std::is_floating_point_v<T>) {
+    char *Stop = nullptr;
+    V = std::strtod(Begin, &Stop);
+    return Stop != Begin && Stop == End;
+  } else {
+    uint64_t U = 0;
+    auto [Stop, Ec] = std::from_chars(Begin, End, U);
+    V = T(U);
+    return Ec == std::errc() && Stop == End;
+  }
+}
+
+/// Reads the value of the 'stat'/'statf' line for row \p Name. Unknown
+/// names are skipped for forward compatibility, but their 'stat' values
+/// must still be integers. \returns false on a malformed value.
+bool readStat(SearchStats &S, bool Float, const std::string &Name,
+              const std::string &Tok) {
+#define FSMC_STAT_READ(Type, Member, Key, Merge, Json)                         \
+  if (StatMerge::Merge != StatMerge::Run && Name == Key)                       \
+    return parseStat(Tok, S.Member);
+  FSMC_SEARCH_STATS(FSMC_STAT_READ)
+#undef FSMC_STAT_READ
+  uint64_t Unknown;
+  return Float || parseStat(Tok, Unknown);
+}
+
 } // namespace
 
 std::vector<std::vector<ScheduleChoice>>
@@ -111,57 +156,10 @@ std::string fsmc::encodeCheckpoint(const CheckpointState &CK,
   OS << "seed " << Seed << "\n";
   OS << "rng " << CK.Rng << "\n";
   const SearchStats &S = CK.Stats;
-  OS << "stat executions " << S.Executions << "\n";
-  OS << "stat transitions " << S.Transitions << "\n";
-  OS << "stat preemptions " << S.Preemptions << "\n";
-  OS << "stat nonterminating_executions " << S.NonterminatingExecutions
-     << "\n";
-  OS << "stat pruned_executions " << S.PrunedExecutions << "\n";
-  OS << "stat por_branches_pruned " << S.PorBranchesPruned << "\n";
-  OS << "stat por_sleep_hits " << S.PorSleepHits << "\n";
-  OS << "stat por_fair_wakes " << S.PorFairWakes << "\n";
-  OS << "stat max_depth " << S.MaxDepth << "\n";
-  OS << "stat fair_edge_additions " << S.FairEdgeAdditions << "\n";
-  OS << "stat bugs_found " << S.BugsFound << "\n";
-  OS << "stat max_threads " << S.MaxThreads << "\n";
-  OS << "stat max_sync_ops " << S.MaxSyncOps << "\n";
-  OS << "stat divergences " << S.Divergences << "\n";
-  OS << "stat divergence_retries " << S.DivergenceRetries << "\n";
-  OS << "stat crashes " << S.Crashes << "\n";
-  OS << "stat hangs " << S.Hangs << "\n";
-  OS << "stat checkpoints " << S.Checkpoints << "\n";
-  // Older readers skip unknown stat keys, so these are forward-compatible.
-  OS << "stat races_checked " << S.RacesChecked << "\n";
-  OS << "stat races_found " << S.RacesFound << "\n";
-  if (S.StateHits)
-    OS << "stat state_hits " << S.StateHits << "\n";
-  // Fleet recovery counters (docs/FLEET.md): nonzero only when a fleet
-  // run actually lost workers, so healthy checkpoints stay byte-identical
-  // to earlier revisions.
-  if (S.FleetWorkerCrashes)
-    OS << "stat fleet_worker_crashes " << S.FleetWorkerCrashes << "\n";
-  if (S.FleetReissues)
-    OS << "stat fleet_reissues " << S.FleetReissues << "\n";
-  if (S.FleetRespawns)
-    OS << "stat fleet_respawns " << S.FleetRespawns << "\n";
-  if (S.FleetQuarantined)
-    OS << "stat fleet_quarantined " << S.FleetQuarantined << "\n";
-  // Weak-memory counters (docs/MEMORY.md): nonzero only under
-  // --memory=tso|pso, so sc checkpoints stay byte-identical to earlier
-  // revisions.
-  if (S.BufferedStores)
-    OS << "stat buffered_stores " << S.BufferedStores << "\n";
-  if (S.StoreFlushes)
-    OS << "stat store_flushes " << S.StoreFlushes << "\n";
-  // The estimator mass is a double; 'statf' carries it as a lossless
-  // hexfloat. Written only when the estimator ran, so checkpoints from
-  // estimator-off runs stay byte-identical to earlier revisions (and old
-  // readers skip the unknown key either way).
-  if (S.EstimateMass != 0) {
-    char Buf[48];
-    snprintf(Buf, sizeof Buf, "%a", S.EstimateMass);
-    OS << "statf estimate_mass " << Buf << "\n";
-  }
+#define FSMC_STAT_WRITE(Type, Member, Key, Merge, Json)                        \
+  putStat<StatMerge::Merge>(OS, Key, S.Member);
+  FSMC_SEARCH_STATS(FSMC_STAT_WRITE)
+#undef FSMC_STAT_WRITE
   if (CK.Bug) {
     OS << "bug " << verdictWire(CK.Bug->Kind) << " " << CK.Bug->AtExecution
        << " " << CK.Bug->AtStep << " " << CK.Bug->Schedule << "\n";
@@ -197,9 +195,7 @@ bool fsmc::decodeCheckpoint(const std::string &Text, CheckpointState &CK,
   Seed = 0;
   std::istringstream IS(Text);
   std::string Line;
-  if (!std::getline(IS, Line) ||
-      (Line != CheckpointMagic && Line != CheckpointMagicV2 &&
-       Line != CheckpointMagicV1)) {
+  if (!std::getline(IS, Line) || Line != CheckpointMagic) {
     Err = "not a checkpoint file (missing '" + std::string(CheckpointMagic) +
           "' header)";
     return false;
@@ -228,86 +224,13 @@ bool fsmc::decodeCheckpoint(const std::string &Text, CheckpointState &CK,
         Err = "corrupt checkpoint: bad rng value in '" + Line + "'";
         return false;
       }
-    } else if (Key == "stat") {
-      std::string Name;
-      uint64_t Val = 0;
-      if (!(LS >> Name >> Val)) {
-        // Unknown NAMES are fine (forward compatibility) but a known line
-        // shape with an unparseable VALUE means the file was damaged.
-        Err = "corrupt checkpoint: bad stat line '" + Line + "'";
-        return false;
-      }
-      SearchStats &S = CK.Stats;
-      if (Name == "executions")
-        S.Executions = Val;
-      else if (Name == "transitions")
-        S.Transitions = Val;
-      else if (Name == "preemptions")
-        S.Preemptions = Val;
-      else if (Name == "nonterminating_executions")
-        S.NonterminatingExecutions = Val;
-      else if (Name == "pruned_executions")
-        S.PrunedExecutions = Val;
-      else if (Name == "por_branches_pruned" || Name == "sleep_set_prunes")
-        S.PorBranchesPruned = Val; // sleep_set_prunes: the v1 key.
-      else if (Name == "por_sleep_hits")
-        S.PorSleepHits = Val;
-      else if (Name == "por_fair_wakes")
-        S.PorFairWakes = Val;
-      else if (Name == "max_depth")
-        S.MaxDepth = Val;
-      else if (Name == "fair_edge_additions")
-        S.FairEdgeAdditions = Val;
-      else if (Name == "bugs_found")
-        S.BugsFound = Val;
-      else if (Name == "max_threads")
-        S.MaxThreads = int(Val);
-      else if (Name == "max_sync_ops")
-        S.MaxSyncOps = Val;
-      else if (Name == "divergences")
-        S.Divergences = Val;
-      else if (Name == "divergence_retries")
-        S.DivergenceRetries = Val;
-      else if (Name == "crashes")
-        S.Crashes = Val;
-      else if (Name == "hangs")
-        S.Hangs = Val;
-      else if (Name == "checkpoints")
-        S.Checkpoints = Val;
-      else if (Name == "races_checked")
-        S.RacesChecked = Val;
-      else if (Name == "races_found")
-        S.RacesFound = Val;
-      else if (Name == "state_hits")
-        S.StateHits = Val;
-      else if (Name == "fleet_worker_crashes")
-        S.FleetWorkerCrashes = Val;
-      else if (Name == "fleet_reissues")
-        S.FleetReissues = Val;
-      else if (Name == "fleet_respawns")
-        S.FleetRespawns = Val;
-      else if (Name == "fleet_quarantined")
-        S.FleetQuarantined = Val;
-      else if (Name == "buffered_stores")
-        S.BufferedStores = Val;
-      else if (Name == "store_flushes")
-        S.StoreFlushes = Val;
-      // Unknown stat keys are skipped for forward compatibility.
-    } else if (Key == "statf") {
+    } else if (Key == "stat" || Key == "statf") {
       std::string Name, Tok;
-      if (!(LS >> Name >> Tok)) {
-        Err = "corrupt checkpoint: bad statf line '" + Line + "'";
+      if (!(LS >> Name >> Tok) ||
+          !readStat(CK.Stats, Key == "statf", Name, Tok)) {
+        Err = "corrupt checkpoint: bad " + Key + " line '" + Line + "'";
         return false;
       }
-      if (Name == "estimate_mass") {
-        char *End = nullptr;
-        CK.Stats.EstimateMass = std::strtod(Tok.c_str(), &End);
-        if (End == Tok.c_str() || *End != '\0') {
-          Err = "corrupt checkpoint: bad estimate_mass value '" + Tok + "'";
-          return false;
-        }
-      }
-      // Unknown float stat keys are skipped for forward compatibility.
     } else if (Key == "bug" || Key == "incident") {
       BugReport B;
       std::string KindTok;

@@ -73,10 +73,11 @@ struct CheckpointState {
 std::vector<std::vector<ScheduleChoice>>
 decomposeUnitToFrozenPrefixes(const CheckpointUnit &U);
 
-/// Stable text encoding, version tag "fsmc-ckpt 3" (version 2 and 1
-/// inputs still decode; missing stats -- POR for v1, store-buffer
-/// counters for v2 -- read as zero). \p Program and \p Seed identify
-/// the run; resume refuses a mismatched program name.
+/// Stable text encoding, version tag "fsmc-ckpt 3". Every nonzero stat
+/// row that accumulates across run parts (FSMC_SEARCH_STATS rows not
+/// merged as StatMerge::Run) is written; absent stat keys read as zero.
+/// \p Program and \p Seed identify the run; resume refuses a mismatched
+/// program name.
 std::string encodeCheckpoint(const CheckpointState &CK,
                              const std::string &Program, uint64_t Seed);
 

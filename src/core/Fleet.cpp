@@ -50,6 +50,7 @@
 #include <deque>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -135,6 +136,20 @@ std::optional<BugReport> getOptBug(WireReader &R) {
   if (!R.u8())
     return std::nullopt;
   return getBug(R);
+}
+
+// A worker's counter delta ends its UnitDone and Progress records when the
+// coordinator has an Observer; it crosses as raw bytes.
+static_assert(std::is_trivially_copyable_v<obs::CounterSnapshot>);
+
+void putCounters(WireWriter &W, const obs::CounterSnapshot &C) {
+  W.raw(&C, sizeof C);
+}
+
+obs::CounterSnapshot getCounters(WireReader &R) {
+  obs::CounterSnapshot C;
+  R.take(&C, sizeof C);
+  return C;
 }
 
 //===----------------------------------------------------------------------===//
@@ -369,6 +384,9 @@ probeCrashStack(const TestProgram &Program, CheckerOptions Opts,
 struct WorkerConfig {
   const TestProgram *Program = nullptr;
   CheckerOptions Opts; // stripped attempt options (no Obs, no budgets)
+  /// Set when the coordinator counts: the worker then counts into its
+  /// own sink-less registry and ships the counts with its stats.
+  std::optional<obs::Observer::Config> Counting;
   bool WantStates = false;
   bool Isolated = false; // stream a Progress record per execution
   double HeartbeatPeriod = 0.1;
@@ -463,6 +481,9 @@ struct WorkerCtl {
   WorkerCtl Ctl;
   Ctl.DownFd = DownFd;
   StackPool Pool; // persists across attempts (fiber-stack reuse)
+  std::optional<obs::Observer> Obs;
+  if (Cfg.Counting)
+    Obs.emplace(*Cfg.Counting);
   uint64_t LifetimeExecs = 0;
   const bool RandomWalk = Cfg.Opts.Kind == SearchKind::RandomWalk;
 
@@ -479,6 +500,7 @@ struct WorkerCtl {
 
     CheckerOptions AOpts = Cfg.Opts;
     AOpts.TimeBudgetSeconds = U.TimeBudget;
+    AOpts.Obs = Obs ? &*Obs : nullptr;
     Attempt A(*Cfg.Program, AOpts, U, &Pool);
     if (Cfg.Isolated && Cfg.WantStates)
       A.E.enableStateLog();
@@ -513,6 +535,8 @@ struct WorkerCtl {
         IncidentsSent = Ex.incidents().size();
         putOptBug(W, BugSent ? std::optional<BugReport>() : Ex.bug());
         BugSent = Ex.bug().has_value();
+        if (Obs) // the attempt's counts so far, like its stats
+          putCounters(W, Obs->snapshot());
         if (!writeRecord(UpFd, TagProgress, W))
           _exit(0);
       } else if (!SentBeat ||
@@ -551,6 +575,8 @@ struct WorkerCtl {
     W.u32(uint32_t(A.Remainder.size()));
     for (const std::vector<ScheduleChoice> &P : A.Remainder)
       W.choices(P);
+    if (Obs) // the whole attempt's counts; the next attempt starts at zero
+      putCounters(W, Obs->drain());
     if (!writeRecord(UpFd, TagUnitDone, W))
       _exit(0);
     // Wait for the coordinator's next word before tearing the attempt
@@ -576,6 +602,7 @@ struct Progress {
   std::vector<uint64_t> States;     // accumulated coverage deltas
   std::vector<BugReport> Incidents; // accumulated race incidents
   std::optional<BugReport> Bug;
+  obs::CounterSnapshot Counters; // cumulative over the attempt
 };
 
 struct FleetWorker {
@@ -638,50 +665,6 @@ bool spawnWorker(FleetWorker &W, const WorkerConfig &BaseCfg,
   return true;
 }
 
-/// Folds one committed attempt's unit-local stats into a live counter
-/// shard, so --stats-json counters and the progress line keep working
-/// when executions happen in worker processes. RacesFound is
-/// deliberately absent: workers dedup races only within an attempt, so
-/// the coordinator bumps that counter per globally-novel race.
-void foldStatsIntoCounters(obs::WorkerCounters *Ctr, const SearchStats &S) {
-  if (!Ctr)
-    return;
-  using obs::Counter;
-  auto Add = [&](Counter C, uint64_t V) {
-    if (V)
-      Ctr->add(C, V);
-  };
-  Add(Counter::Executions, S.Executions);
-  Add(Counter::Transitions, S.Transitions);
-  Add(Counter::Preemptions, S.Preemptions);
-  Add(Counter::NonterminatingExecutions, S.NonterminatingExecutions);
-  Add(Counter::StatefulPrunes, S.PrunedExecutions);
-  Add(Counter::PorSleepHits, S.PorSleepHits);
-  Add(Counter::PorBranchesPruned, S.PorBranchesPruned);
-  Add(Counter::PorFairWakes, S.PorFairWakes);
-  Add(Counter::FairEdgeAdds, S.FairEdgeAdditions);
-  Add(Counter::BugsFound, S.BugsFound);
-  Add(Counter::Divergences, S.Divergences);
-  Add(Counter::DivergenceRetries, S.DivergenceRetries);
-  Add(Counter::RacesChecked, S.RacesChecked);
-  Add(Counter::BufferedStores, S.BufferedStores);
-  Add(Counter::StoreFlushes, S.StoreFlushes);
-  Ctr->maxGauge(obs::Gauge::MaxDepth, S.MaxDepth);
-}
-
-/// Bumps the per-verdict-class bug counter (deadlocks, livelocks, good
-/// samaritan violations) for a bug harvested from a worker.
-void bumpBugClassCounter(obs::WorkerCounters *Ctr, Verdict V) {
-  if (!Ctr)
-    return;
-  if (V == Verdict::Deadlock)
-    Ctr->add(obs::Counter::Deadlocks);
-  else if (V == Verdict::Livelock)
-    Ctr->add(obs::Counter::Livelocks);
-  else if (V == Verdict::GoodSamaritanViolation)
-    Ctr->add(obs::Counter::GoodSamaritanViolations);
-}
-
 /// The incident message for a worker that died with wait status \p Status.
 std::string describeDeath(int Status, bool Hung, double Timeout) {
   if (Hung)
@@ -730,8 +713,9 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
 
   // Attempt options: in-process serial exploration with every
   // parent-owned mechanism stripped. Budgets are enforced per-unit through
-  // the execution hook, and the observer must stay null in children --
-  // fork duplicates sink FILE buffers. Profiles cannot cross the pipe
+  // the execution hook, and the coordinator's observer must stay out of
+  // children -- fork duplicates sink FILE buffers; workers count into
+  // their own (WorkerConfig::Counting). Profiles cannot cross the pipe
   // (shared_ptr payload).
   CheckerOptions ChildOpts = Opts;
   ChildOpts.Obs = nullptr;
@@ -746,6 +730,13 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
   WorkerConfig BaseCfg;
   BaseCfg.Program = &Program;
   BaseCfg.Opts = ChildOpts;
+  if (Opts.Obs) {
+    obs::Observer::Config OC;
+    OC.MaxWorkers = 1;
+    OC.StepTiming = Opts.Obs->stepTiming();
+    OC.PhaseTiming = Opts.Obs->phaseTiming();
+    BaseCfg.Counting = OC;
+  }
   BaseCfg.WantStates = WantStates;
   BaseCfg.Isolated = Isolated;
   BaseCfg.HeartbeatPeriod = std::min(0.1, HbTimeout / 4);
@@ -872,15 +863,17 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
 
   // Merges one committed attempt -- the only way search results enter the
   // totals, shared by UnitDone, isolation's partial commits and the
-  // in-process fallback.
+  // in-process fallback. \p Counts is what the attempt counted.
   auto commitAttempt = [&](uint64_t LeaseId, const SearchStats &S,
+                           const obs::CounterSnapshot &Counts,
                            bool AttemptTimedOut,
                            const std::optional<BugReport> &Bug,
                            const std::vector<BugReport> &Incs,
                            const std::vector<uint64_t> &UnitStates,
                            std::vector<std::vector<ScheduleChoice>> &&Rem,
                            uint64_t EndRng, bool Broadcast) {
-    foldStatsIntoCounters(Ctr, S);
+    if (Ctr)
+      Ctr->addDelta(Counts);
     mergeSearchStats(Total, S);
     States.insert(UnitStates.begin(), UnitStates.end());
     for (const BugReport &I : Incs)
@@ -891,11 +884,8 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
       }
     if (Opts.Races != RaceCheckMode::Off)
       Total.RacesFound = RaceBase + RaceKeys.size();
-    if (Bug) {
-      bumpBugClassCounter(Ctr, Bug->Kind);
-      if (offerBug(*Bug, Bug->Kind) && Broadcast && Opts.StopOnFirstBug)
-        broadcastBestBug();
-    }
+    if (Bug && offerBug(*Bug, Bug->Kind) && Broadcast && Opts.StopOnFirstBug)
+      broadcastBestBug();
     for (std::vector<ScheduleChoice> &P : Rem) {
       size_t N = P.size();
       LT.add(std::move(P), N);
@@ -919,6 +909,7 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
     std::vector<std::vector<ScheduleChoice>> Rem;
     for (uint32_t I = 0; I < NRem && R.Ok; ++I)
       Rem.push_back(R.choices());
+    obs::CounterSnapshot Counts = Ctr ? getCounters(R) : obs::CounterSnapshot();
     if (!R.Ok || LeaseId == 0 || LeaseId != W.LeaseId) {
       // Garbled commit: the worker is compromised; kill it and let the
       // reap path fail its lease so nothing half-merged survives.
@@ -929,7 +920,7 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
       return;
     }
     W.LeaseId = 0;
-    commitAttempt(LeaseId, S, (Flags & FlagTimedOut) != 0, Bug, Incs,
+    commitAttempt(LeaseId, S, Counts, (Flags & FlagTimedOut) != 0, Bug, Incs,
                   UnitStates, std::move(Rem), EndRng, /*Broadcast=*/true);
   };
 
@@ -941,6 +932,7 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
     std::vector<uint64_t> Delta = R.states();
     std::vector<BugReport> Incs = getBugs(R);
     std::optional<BugReport> Bug = getOptBug(R);
+    obs::CounterSnapshot Counts = Ctr ? getCounters(R) : obs::CounterSnapshot();
     if (!R.Ok || LeaseId == 0 || LeaseId != W.LeaseId)
       return;
     Progress &P = W.Prog;
@@ -952,6 +944,7 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
     P.Incidents.insert(P.Incidents.end(), Incs.begin(), Incs.end());
     if (Bug)
       P.Bug = std::move(Bug);
+    P.Counters = Counts;
     LT.renew(LeaseId, elapsed() + HbTimeout);
   };
 
@@ -962,8 +955,8 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
   auto recoverIsolated = [&](FleetWorker &W, uint64_t Id, int Status) {
     Progress P = std::move(W.Prog);
     const WorkUnit &U = LT.unit(Id);
-    commitAttempt(Id, P.Stats, false, P.Bug, P.Incidents, P.States, {},
-                  P.Have ? P.Rng : Rng, /*Broadcast=*/false);
+    commitAttempt(Id, P.Stats, P.Counters, false, P.Bug, P.Incidents,
+                  P.States, {}, P.Have ? P.Rng : Rng, /*Broadcast=*/false);
     // The execution that killed the worker replays advance(stack of the
     // last finished one) -- or the unit's own prefix if none finished.
     std::vector<ScheduleChoice> Stack = P.Have ? P.Stack : U.Prefix;
@@ -1280,6 +1273,11 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
   // quarantined.
   auto runQueueInProcess = [&]() {
     StackPool Pool;
+    // Counted like a worker, so the coordinator's races_found stays the
+    // count of globally distinct races.
+    std::optional<obs::Observer> Local;
+    if (BaseCfg.Counting)
+      Local.emplace(*BaseCfg.Counting);
     for (;;) {
       if (interruptRequested()) {
         Interrupted = true;
@@ -1319,6 +1317,7 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
       IU.FrozenLen = uint32_t(U->FrozenLen);
       IU.Rng = Rng;
       CheckerOptions AOpts = ChildOpts;
+      AOpts.Obs = Local ? &*Local : nullptr;
       if (Opts.TimeBudgetSeconds > 0)
         AOpts.TimeBudgetSeconds =
             std::max(0.001, Opts.TimeBudgetSeconds - elapsed());
@@ -1332,9 +1331,11 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
           return true;
         return interruptRequested() || Done >= Budget;
       });
-      commitAttempt(Id, R.Stats, R.Stats.TimedOut, R.Bug, R.Incidents,
-                    A.sortedStates(), std::move(A.Remainder), A.E.rngState(),
-                    /*Broadcast=*/false);
+      obs::CounterSnapshot Counts =
+          Local ? Local->drain() : obs::CounterSnapshot();
+      commitAttempt(Id, R.Stats, Counts, R.Stats.TimedOut, R.Bug,
+                    R.Incidents, A.sortedStates(), std::move(A.Remainder),
+                    A.E.rngState(), /*Broadcast=*/false);
     }
   };
 

@@ -5,6 +5,7 @@
 #include "runtime/PendingOp.h"
 
 #include <cstring>
+#include <iterator>
 
 using namespace fsmc;
 using namespace fsmc::obs;
@@ -12,86 +13,35 @@ using namespace fsmc::obs;
 static_assert(size_t(OpKind::VarFence) < OpKindSlots,
               "OpKindSlots must cover every OpKind");
 
+namespace {
+
+struct CounterRow {
+  const char *Name;
+  CounterShow Show;
+  CounterOwner Owner;
+};
+
+constexpr CounterRow CounterRows[] = {
+#define FSMC_COUNTER_ROW(Id, Name, Show, Owner)                                \
+  {Name, CounterShow::Show, CounterOwner::Owner},
+    FSMC_COUNTERS(FSMC_COUNTER_ROW)
+#undef FSMC_COUNTER_ROW
+};
+
+static_assert(std::size(CounterRows) == size_t(Counter::NumCounters));
+
+} // namespace
+
 const char *fsmc::obs::counterName(Counter C) {
-  switch (C) {
-  case Counter::Executions:
-    return "executions";
-  case Counter::Transitions:
-    return "transitions";
-  case Counter::Preemptions:
-    return "preemptions";
-  case Counter::ReplaySteps:
-    return "replay_steps";
-  case Counter::SchedulePoints:
-    return "schedule_points";
-  case Counter::SyncContention:
-    return "sync_contention";
-  case Counter::FairEdgeAdds:
-    return "fair_edge_adds";
-  case Counter::FairEdgeRemovals:
-    return "fair_edge_removals";
-  case Counter::StatefulPrunes:
-    return "stateful_prunes";
-  case Counter::NonterminatingExecutions:
-    return "nonterminating_executions";
-  case Counter::BugsFound:
-    return "bugs_found";
-  case Counter::Deadlocks:
-    return "deadlocks";
-  case Counter::Livelocks:
-    return "livelocks";
-  case Counter::GoodSamaritanViolations:
-    return "good_samaritan_violations";
-  case Counter::WorkItemsRun:
-    return "work_items_run";
-  case Counter::PrefixesDonated:
-    return "prefixes_donated";
-  case Counter::PorSleepHits:
-    return "por_sleep_hits";
-  case Counter::PorBranchesPruned:
-    return "por_branches_pruned";
-  case Counter::PorFairWakes:
-    return "por_fair_wakes";
-  case Counter::Divergences:
-    return "divergences";
-  case Counter::DivergenceRetries:
-    return "divergence_retries";
-  case Counter::Crashes:
-    return "crashes";
-  case Counter::Hangs:
-    return "hangs";
-  case Counter::Checkpoints:
-    return "checkpoints";
-  case Counter::RacesChecked:
-    return "races_checked";
-  case Counter::RacesFound:
-    return "races_found";
-  case Counter::FleetWorkerCrashes:
-    return "fleet_worker_crashes";
-  case Counter::FleetReissues:
-    return "fleet_reissues";
-  case Counter::FleetRespawns:
-    return "fleet_respawns";
-  case Counter::FleetQuarantined:
-    return "fleet_quarantined";
-  case Counter::BufferedStores:
-    return "buffered_stores";
-  case Counter::StoreFlushes:
-    return "store_flushes";
-  case Counter::Steals:
-    return "steals";
-  case Counter::StealFails:
-    return "steal_fails";
-  case Counter::QueueLockAcquires:
-    return "queue_lock_acquires";
-  case Counter::MergeNs:
-    return "merge_ns";
-  case Counter::DonationBytes:
-    return "donation_bytes";
-  case Counter::NumCounters:
-    break;
-  }
-  return "?";
+  return C < Counter::NumCounters ? CounterRows[size_t(C)].Name : "?";
+}
+
+bool fsmc::obs::counterOmittedAtZero(Counter C) {
+  return CounterRows[size_t(C)].Show == CounterShow::OmitAtZero;
+}
+
+bool fsmc::obs::counterCoordinatorOnly(Counter C) {
+  return CounterRows[size_t(C)].Owner == CounterOwner::Coordinator;
 }
 
 const char *fsmc::obs::gaugeName(Gauge G) {
@@ -149,6 +99,28 @@ void WorkerCounters::addLatencyNs(uint64_t Ns) {
   A.store(A.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
 }
 
+/// Single-writer add, as WorkerCounters::add.
+static void bump(std::atomic<uint64_t> &A, uint64_t N) {
+  A.store(A.load(std::memory_order_relaxed) + N, std::memory_order_relaxed);
+}
+
+void WorkerCounters::addDelta(const CounterSnapshot &D) {
+  for (size_t K = 0; K < size_t(Counter::NumCounters); ++K)
+    if (!counterCoordinatorOnly(Counter(K)))
+      bump(C[K], D.C[K]);
+  for (size_t K = 0; K < OpKindSlots; ++K) {
+    bump(Ops[K], D.Ops[K]);
+    bump(Contended[K], D.Contended[K]);
+  }
+  for (size_t K = 0; K < LatencyBuckets; ++K)
+    bump(Latency[K], D.Latency[K]);
+  for (size_t K = 0; K < size_t(Phase::NumPhases); ++K)
+    bump(PhaseNs[K], D.PhaseNs[K]);
+  if (D.EstimateMass != 0)
+    addEstimateMass(D.EstimateMass);
+  maxGauge(Gauge::MaxDepth, D.gauge(Gauge::MaxDepth));
+}
+
 CounterRegistry::CounterRegistry(size_t MaxWorkers)
     : Shards(new WorkerCounters[MaxWorkers ? MaxWorkers : 1]),
       NumShards(MaxWorkers ? MaxWorkers : 1) {}
@@ -180,6 +152,25 @@ CounterSnapshot CounterRegistry::snapshot() const {
         W.G[size_t(Gauge::WorkQueueDepth)].load(std::memory_order_relaxed);
     S.G[size_t(Gauge::ActiveWorkers)] +=
         W.G[size_t(Gauge::ActiveWorkers)].load(std::memory_order_relaxed);
+  }
+  return S;
+}
+
+CounterSnapshot CounterRegistry::drain() {
+  CounterSnapshot S = snapshot();
+  auto Zero = [](auto &Array) {
+    for (std::atomic<uint64_t> &A : Array)
+      A.store(0, std::memory_order_relaxed);
+  };
+  for (size_t I = 0; I < NumShards; ++I) {
+    WorkerCounters &W = Shards[I];
+    Zero(W.C);
+    Zero(W.G);
+    Zero(W.Ops);
+    Zero(W.Contended);
+    Zero(W.Latency);
+    Zero(W.PhaseNs);
+    W.EstMassBits.store(0, std::memory_order_relaxed);
   }
   return S;
 }

@@ -36,62 +36,103 @@
 namespace fsmc {
 namespace obs {
 
-/// The counter catalogue. Monotonic totals; see counterName() for the
-/// stable wire names used in --stats-json and the progress line.
+/// Whether --stats-json shows a counter whose value is zero.
+enum class CounterShow {
+  Always,     ///< Every report with counters.
+  OmitAtZero, ///< Only when nonzero, so reports of runs that never touch
+              ///< the counter's layer keep their legacy bytes.
+};
+
+/// Which processes may bump a counter.
+enum class CounterOwner {
+  Search, ///< Any explorer, fleet and isolated workers included: their
+          ///< deltas are added to the coordinator's shard 0.
+  Coordinator, ///< Only the process that runs the search loop (the
+               ///< serial explorer, the parallel or fleet coordinator). A
+               ///< fleet coordinator counts these itself (it alone dedups
+               ///< races across workers and sees deaths, recoveries and
+               ///< checkpoints), so it drops them from worker deltas.
+};
+
+/// The counter catalogue, one row per monotonic total:
+///
+///   X(enumerator, wire name, CounterShow rule, CounterOwner)
+///
+/// The wire name is stable: --stats-json "counters" and the progress line
+/// use it. The enum, counterName and the omit and owner rules are
+/// generated from this table, so adding a counter is one row (plus its
+/// increment site).
+#define FSMC_COUNTERS(X)                                                     \
+  X(Executions, "executions", Always, Search) /* Finished, any end kind. */  \
+  X(Transitions, "transitions", Always, Search)                              \
+  X(Preemptions, "preemptions", Always, Search) /* Section 4. */             \
+  /* Transitions spent re-running recorded prefixes -- the stateless      */ \
+  /* method's tax.                                                        */ \
+  X(ReplaySteps, "replay_steps", Always, Search)                             \
+  /* Visible operations published by test code.                           */ \
+  X(SchedulePoints, "schedule_points", Always, Search)                       \
+  /* Blocking ops that parked on a busy object.                           */ \
+  X(SyncContention, "sync_contention", Always, Search)                       \
+  /* Priority edges added (Algorithm 1 line 25) and removed (line 13).    */ \
+  X(FairEdgeAdds, "fair_edge_adds", Always, Search)                          \
+  X(FairEdgeRemovals, "fair_edge_removals", Always, Search)                  \
+  /* Executions cut by the stateful reference search.                     */ \
+  X(StatefulPrunes, "stateful_prunes", Always, Search)                       \
+  /* Executions abandoned at a bound.                                     */ \
+  X(NonterminatingExecutions, "nonterminating_executions", Always, Search)   \
+  /* Buggy executions (all verdict classes), and three of the classes.    */ \
+  X(BugsFound, "bugs_found", Always, Search)                                 \
+  X(Deadlocks, "deadlocks", Always, Search)                                  \
+  X(Livelocks, "livelocks", Always, Search)                                  \
+  X(GoodSamaritanViolations, "good_samaritan_violations", Always, Search)    \
+  /* Parallel: prefixes popped and explored, prefixes split off.          */ \
+  X(WorkItemsRun, "work_items_run", Always, Search)                          \
+  X(PrefixesDonated, "prefixes_donated", Always, Search)                     \
+  /* Sleep-set POR (docs/POR.md): sleeping threads filtered from          */ \
+  /* candidates, executions cut, sleepers woken as the only fair choices. */ \
+  X(PorSleepHits, "por_sleep_hits", OmitAtZero, Search)                      \
+  X(PorBranchesPruned, "por_branches_pruned", OmitAtZero, Search)            \
+  X(PorFairWakes, "por_fair_wakes", OmitAtZero, Search)                      \
+  /* Robustness layer (docs/ROBUSTNESS.md): prefixes discarded after      */ \
+  /* failed replays, and re-executions of mismatching prefixes.           */ \
+  X(Divergences, "divergences", OmitAtZero, Search)                          \
+  X(DivergenceRetries, "divergence_retries", OmitAtZero, Search)             \
+  /* Isolated executions that died on a signal, or were killed by the     */ \
+  /* watchdog; checkpoints written.                                       */ \
+  X(Crashes, "crashes", OmitAtZero, Coordinator)                             \
+  X(Hangs, "hangs", OmitAtZero, Coordinator)                                 \
+  X(Checkpoints, "checkpoints", OmitAtZero, Coordinator)                     \
+  /* Plain accesses race-checked (--races=on); distinct races found.      */ \
+  X(RacesChecked, "races_checked", OmitAtZero, Search)                       \
+  X(RacesFound, "races_found", OmitAtZero, Coordinator)                      \
+  /* Fleet mode (docs/FLEET.md): worker processes that died, units        */ \
+  /* leased again after a death, replacement workers forked, units        */ \
+  /* quarantined.                                                         */ \
+  X(FleetWorkerCrashes, "fleet_worker_crashes", OmitAtZero, Coordinator)     \
+  X(FleetReissues, "fleet_reissues", OmitAtZero, Coordinator)                \
+  X(FleetRespawns, "fleet_respawns", OmitAtZero, Coordinator)                \
+  X(FleetQuarantined, "fleet_quarantined", OmitAtZero, Coordinator)          \
+  /* Weak memory (docs/MEMORY.md): stores enqueued into a thread store    */ \
+  /* buffer, and buffered stores committed to memory.                     */ \
+  X(BufferedStores, "buffered_stores", OmitAtZero, Search)                   \
+  X(StoreFlushes, "store_flushes", OmitAtZero, Search)                       \
+  /* Work-stealing parallel engine (docs/PERFORMANCE.md): successful      */ \
+  /* steal-half grabs, steal attempts that found the victim empty, and    */ \
+  /* shared-lock acquisitions (injector, bug, merge, stash) -- the        */ \
+  /* contention budget.                                                   */ \
+  X(Steals, "steals", OmitAtZero, Search)                                    \
+  X(StealFails, "steal_fails", OmitAtZero, Search)                           \
+  X(QueueLockAcquires, "queue_lock_acquires", OmitAtZero, Search)            \
+  /* Nanoseconds in deferred cross-worker merges (stats/states/races/     */ \
+  /* profile), and prefix bytes materialized by splitWork.                */ \
+  X(MergeNs, "merge_ns", OmitAtZero, Search)                                 \
+  X(DonationBytes, "donation_bytes", OmitAtZero, Search)
+
+/// The counter catalogue (rows: FSMC_COUNTERS).
 enum class Counter : unsigned {
-  Executions,              ///< Executions finished (any end kind).
-  Transitions,             ///< Transitions executed.
-  Preemptions,             ///< Preemptive context switches (Section 4).
-  ReplaySteps,             ///< Transitions spent re-running recorded
-                           ///< prefixes -- the stateless method's tax.
-  SchedulePoints,          ///< Visible operations published by test code.
-  SyncContention,          ///< Blocking ops that parked on a busy object.
-  FairEdgeAdds,            ///< Priority edges added (Algorithm 1 line 25).
-  FairEdgeRemovals,        ///< Priority edges removed (line 13).
-  StatefulPrunes,          ///< Executions cut by the reference search.
-  NonterminatingExecutions,///< Executions abandoned at a bound.
-  BugsFound,               ///< Buggy executions (all verdict classes).
-  Deadlocks,               ///< ... of which deadlocks.
-  Livelocks,               ///< ... of which fair divergences.
-  GoodSamaritanViolations, ///< ... of which good-samaritan violations.
-  WorkItemsRun,            ///< Parallel: prefixes popped and explored.
-  PrefixesDonated,         ///< Parallel: prefixes split off for others.
-  // Sleep-set POR (docs/POR.md). Zero whenever --por is off, and omitted
-  // from --stats-json then, so non-POR output stays byte-identical.
-  PorSleepHits,            ///< Sleeping threads filtered from candidates.
-  PorBranchesPruned,       ///< Executions cut by sleep-set POR.
-  PorFairWakes,            ///< Sleepers woken as the only fair choices.
-  // Robustness layer (docs/ROBUSTNESS.md). These report as zero on every
-  // healthy run, so --stats-json omits zero values to keep legacy output
-  // byte-identical.
-  Divergences,             ///< Prefixes discarded after failed replays.
-  DivergenceRetries,       ///< Re-executions of mismatching prefixes.
-  Crashes,                 ///< Isolated executions that died on a signal.
-  Hangs,                   ///< Isolated executions killed by the watchdog.
-  Checkpoints,             ///< Checkpoints written.
-  RacesChecked,            ///< Plain accesses race-checked (--races=on).
-  RacesFound,              ///< Distinct data races found.
-  // Fleet mode (docs/FLEET.md). Zero off-fleet and on healthy fleet runs;
-  // omitted from --stats-json at zero like the rest of the robustness
-  // block.
-  FleetWorkerCrashes,      ///< Fleet worker processes that died.
-  FleetReissues,           ///< Leased units re-issued after a death.
-  FleetRespawns,           ///< Replacement workers forked.
-  FleetQuarantined,        ///< Units quarantined as crash incidents.
-  // Weak-memory exploration (docs/MEMORY.md). Zero under --memory=sc and
-  // omitted from --stats-json then, so sc output stays byte-identical.
-  BufferedStores,          ///< Stores enqueued into a thread store buffer.
-  StoreFlushes,            ///< Buffered stores committed to memory.
-  // Work-stealing parallel engine (docs/PERFORMANCE.md). Zero at --jobs=1
-  // and omitted from --stats-json then, so serial output stays
-  // byte-identical.
-  Steals,                  ///< Successful steal-half grabs from a victim.
-  StealFails,              ///< Steal attempts that found the victim empty.
-  QueueLockAcquires,       ///< Shared-lock acquisitions (injector, bug,
-                           ///< merge, stash) -- the contention budget.
-  MergeNs,                 ///< Nanoseconds spent in deferred cross-worker
-                           ///< merges (stats/states/races/profile).
-  DonationBytes,           ///< Prefix bytes materialized by splitWork.
+#define FSMC_COUNTER_ENUM(Id, Name, Show, Owner) Id,
+  FSMC_COUNTERS(FSMC_COUNTER_ENUM)
+#undef FSMC_COUNTER_ENUM
   NumCounters
 };
 
@@ -118,7 +159,13 @@ enum class Phase : unsigned {
   NumPhases
 };
 
+/// The stable wire name of \p C.
 const char *counterName(Counter C);
+/// True if --stats-json omits \p C at zero (CounterShow::OmitAtZero).
+bool counterOmittedAtZero(Counter C);
+/// True if only the coordinating process bumps \p C
+/// (CounterOwner::Coordinator).
+bool counterCoordinatorOnly(Counter C);
 const char *gaugeName(Gauge G);
 const char *phaseName(Phase P);
 
@@ -130,6 +177,8 @@ constexpr size_t LatencyBuckets = 32;
 /// Number of distinct PendingOp kinds tracked per shard (must cover
 /// OpKind; checked by a static_assert in Counters.cpp).
 constexpr size_t OpKindSlots = 32;
+
+struct CounterSnapshot;
 
 /// One worker's shard. Padded to its own cache lines so workers never
 /// false-share.
@@ -183,6 +232,12 @@ struct alignas(64) WorkerCounters {
     if (V > A.load(std::memory_order_relaxed))
       A.store(V, std::memory_order_relaxed);
   }
+  /// Adds what another process counted (a fleet worker's drained
+  /// registry): every Search-owned counter, op, latency bucket, phase and
+  /// the estimator mass, and the MaxDepth gauge as a maximum.
+  /// Coordinator-only counters are dropped; the coordinator bumps those
+  /// itself.
+  void addDelta(const CounterSnapshot &D);
 };
 
 /// An aggregated, coherent-enough copy of every shard, taken by readers.
@@ -213,6 +268,10 @@ public:
   /// Sums every shard. Gauges: WorkQueueDepth and ActiveWorkers sum
   /// (each worker contributes its own view), MaxDepth takes the max.
   CounterSnapshot snapshot() const;
+  /// Takes a snapshot and zeroes every shard. Only for a registry whose
+  /// sole writer is the calling thread (a fleet worker's private one), so
+  /// nothing counted in between is lost.
+  CounterSnapshot drain();
 
 private:
   std::unique_ptr<WorkerCounters[]> Shards;

@@ -54,6 +54,7 @@ public:
 
   WorkerCounters &shard(unsigned Worker) { return Reg.shard(Worker); }
   CounterSnapshot snapshot() const { return Reg.snapshot(); }
+  CounterSnapshot drain() { return Reg.drain(); }
 
   EventSink *sink() const { return Cfg.Sink; }
   bool traceTransitions() const { return Cfg.Sink && Cfg.TraceTransitions; }

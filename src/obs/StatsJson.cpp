@@ -10,6 +10,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <type_traits>
 
 using namespace fsmc;
 using namespace fsmc::obs;
@@ -138,6 +139,24 @@ void appendKVStr(std::string &Out, const char *Key, std::string_view V,
   Out += '\n';
 }
 
+/// One "stats" block row, comma-terminated, by its StatJson rule.
+template <StatJson J, typename T>
+void appendStat(std::string &Out, const char *Key, const T &V) {
+  if constexpr (J != StatJson::Hidden) {
+    if (J == StatJson::OmitAtZero && V == T())
+      return;
+    if constexpr (std::is_same_v<T, bool>) {
+      appendKVBool(Out, Key, V, true);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      char Buf[96];
+      std::snprintf(Buf, sizeof(Buf), "    \"%s\": %.6f,\n", Key, V);
+      Out += Buf;
+    } else {
+      appendKV(Out, Key, uint64_t(V), true);
+    }
+  }
+}
+
 /// One profile class row: { "branch_points": n, "alternatives": n[,
 /// "por_sleep_hits": n] }, appended without a trailing comma.
 void appendProfileClass(std::string &Out, std::string_view Key,
@@ -264,66 +283,11 @@ std::string fsmc::obs::renderStatsJson(const CheckResult &R,
   }
 
   Out += "  \"stats\": {\n";
-  appendKV(Out, "executions", S.Executions, true);
-  appendKV(Out, "transitions", S.Transitions, true);
-  appendKV(Out, "preemptions", S.Preemptions, true);
-  appendKV(Out, "nonterminating_executions", S.NonterminatingExecutions,
-           true);
-  appendKV(Out, "pruned_executions", S.PrunedExecutions, true);
-  // POR stats appear only when the reduction did something, mirroring the
-  // robustness stats below: a --por=off report keeps its legacy shape.
-  if (S.PorSleepHits != 0)
-    appendKV(Out, "por_sleep_hits", S.PorSleepHits, true);
-  if (S.PorBranchesPruned != 0)
-    appendKV(Out, "por_branches_pruned", S.PorBranchesPruned, true);
-  if (S.PorFairWakes != 0)
-    appendKV(Out, "por_fair_wakes", S.PorFairWakes, true);
-  appendKV(Out, "max_depth", S.MaxDepth, true);
-  appendKV(Out, "distinct_states", S.DistinctStates, true);
-  appendKV(Out, "fair_edge_additions", S.FairEdgeAdditions, true);
-  appendKV(Out, "bugs_found", S.BugsFound, true);
-  appendKV(Out, "max_threads", uint64_t(S.MaxThreads), true);
-  appendKV(Out, "max_sync_ops", S.MaxSyncOps, true);
-  // Robustness stats are zero/false on every healthy run and omitted then,
-  // keeping legacy stats-json output byte-identical.
-  if (S.Divergences != 0)
-    appendKV(Out, "divergences", S.Divergences, true);
-  if (S.DivergenceRetries != 0)
-    appendKV(Out, "divergence_retries", S.DivergenceRetries, true);
-  if (S.Crashes != 0)
-    appendKV(Out, "crashes", S.Crashes, true);
-  if (S.Hangs != 0)
-    appendKV(Out, "hangs", S.Hangs, true);
-  if (S.Checkpoints != 0)
-    appendKV(Out, "checkpoints", S.Checkpoints, true);
-  if (S.RacesChecked != 0)
-    appendKV(Out, "races_checked", S.RacesChecked, true);
-  if (S.RacesFound != 0)
-    appendKV(Out, "races_found", S.RacesFound, true);
-  // Fleet recovery counters, zero (and omitted) on healthy fleet runs and
-  // on every non-fleet run.
-  if (S.FleetWorkerCrashes != 0)
-    appendKV(Out, "fleet_worker_crashes", S.FleetWorkerCrashes, true);
-  if (S.FleetReissues != 0)
-    appendKV(Out, "fleet_reissues", S.FleetReissues, true);
-  if (S.FleetRespawns != 0)
-    appendKV(Out, "fleet_respawns", S.FleetRespawns, true);
-  if (S.FleetQuarantined != 0)
-    appendKV(Out, "fleet_quarantined", S.FleetQuarantined, true);
-  // Weak-memory stats, nonzero only under --memory=tso|pso (flushes and
-  // buffered stores do not exist under sc), so sc output keeps its bytes.
-  if (S.BufferedStores != 0)
-    appendKV(Out, "buffered_stores", S.BufferedStores, true);
-  if (S.StoreFlushes != 0)
-    appendKV(Out, "store_flushes", S.StoreFlushes, true);
-  if (S.Interrupted)
-    appendKVBool(Out, "interrupted", true, true);
-  char Secs[48];
-  std::snprintf(Secs, sizeof(Secs), "    \"seconds\": %.6f,\n", S.Seconds);
-  Out += Secs;
-  appendKVBool(Out, "timed_out", S.TimedOut, true);
-  appendKVBool(Out, "execution_cap_hit", S.ExecutionCapHit, true);
-  appendKVBool(Out, "search_exhausted", S.SearchExhausted, false);
+#define FSMC_STAT_JSON(Type, Member, Key, Merge, Json)                         \
+  appendStat<StatJson::Json>(Out, Key, S.Member);
+  FSMC_SEARCH_STATS(FSMC_STAT_JSON)
+#undef FSMC_STAT_JSON
+  Out.erase(Out.size() - 2, 1); // the last row's comma
   Out += "  },\n";
 
   // The sections below are each gated on their own opt-in flag (or on the
@@ -393,13 +357,9 @@ std::string fsmc::obs::renderStatsJson(const CheckResult &R,
   if (Info.Obs) {
     CounterSnapshot C = Info.Obs->snapshot();
     Out += "  \"counters\": {\n";
-    for (unsigned I = 0; I < unsigned(Counter::NumCounters); ++I) {
-      // POR and robustness counters (PorSleepHits onward) are omitted at
-      // zero; see Counters.h.
-      if (I >= unsigned(Counter::PorSleepHits) && C.C[I] == 0)
-        continue;
-      appendKV(Out, counterName(Counter(I)), C.C[I], true);
-    }
+    for (unsigned I = 0; I < unsigned(Counter::NumCounters); ++I)
+      if (C.C[I] != 0 || !counterOmittedAtZero(Counter(I)))
+        appendKV(Out, counterName(Counter(I)), C.C[I], true);
     for (unsigned I = 0; I < unsigned(Gauge::NumGauges); ++I)
       appendKV(Out, gaugeName(Gauge(I)), C.G[I],
                /*Comma=*/I + 1 < unsigned(Gauge::NumGauges));

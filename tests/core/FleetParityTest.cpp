@@ -16,6 +16,7 @@
 
 #include "core/Checker.h"
 #include "core/Checkpoint.h"
+#include "obs/Observer.h"
 
 #include "workloads/CrashFault.h"
 #include "workloads/DiningPhilosophers.h"
@@ -28,6 +29,7 @@
 #include <atomic>
 #include <cctype>
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -262,6 +264,90 @@ TEST(FleetParity, RaceIncidentsDedupAcrossWorkers) {
   CheckResult F =
       check(makeCrashFaultProgram(C), fleetOpts(Base, 4, /*Batch=*/4));
   expectExactlyEqual(F, Serial);
+}
+
+namespace {
+
+/// Runs \p P exhaustively under \p O with an Observer attached and returns
+/// its counters.
+obs::CounterSnapshot countersOf(const TestProgram &P, CheckerOptions O,
+                                bool PhaseTiming) {
+  obs::Observer::Config OC;
+  OC.PhaseTiming = PhaseTiming;
+  obs::Observer Obs(OC);
+  O.Obs = &Obs;
+  CheckResult R = check(P, O);
+  EXPECT_TRUE(R.Stats.SearchExhausted);
+  return Obs.snapshot();
+}
+
+} // namespace
+
+TEST(FleetParity, EveryEngineReportsTheSerialCounters) {
+  // Fleet and isolated workers count into their own registries and ship
+  // the counts with each committed attempt, so every engine reports the
+  // serial engine's counters. The kill:2 leg (and CI's chaos job, which
+  // runs this suite under FSMC_FLEET_CHAOS=kill:2) checks that a killed
+  // attempt's counts, like its stats, are never committed.
+  const obs::Counter Pinned[] = {
+      obs::Counter::Executions,       obs::Counter::Transitions,
+      obs::Counter::ReplaySteps,      obs::Counter::SchedulePoints,
+      obs::Counter::SyncContention,   obs::Counter::FairEdgeAdds,
+      obs::Counter::FairEdgeRemovals, obs::Counter::BugsFound,
+      obs::Counter::Deadlocks,        obs::Counter::Livelocks,
+      obs::Counter::GoodSamaritanViolations};
+  DiningConfig Deadlocking;
+  Deadlocking.Kind = DiningConfig::Variant::DeadlockProne;
+  struct Case {
+    TestProgram P;
+    uint64_t MinDeadlocks;
+  };
+  const Case Cases[] = {{registryProgram("dining-philosophers"), 0},
+                        {makeDiningProgram(Deadlocking), 2}};
+  for (const auto &[P, MinDeadlocks] : Cases) {
+    SCOPED_TRACE(P.Name);
+    const CheckerOptions Base = exhaustiveOpts(1);
+    obs::CounterSnapshot Serial = countersOf(P, Base, false);
+    ASSERT_GT(Serial.counter(obs::Counter::ReplaySteps), 0u);
+    ASSERT_GE(Serial.counter(obs::Counter::Deadlocks), MinDeadlocks);
+
+    CheckerOptions Jobs = Base;
+    Jobs.Jobs = 2;
+    CheckerOptions Isolated = Base;
+    Isolated.Isolate = IsolationMode::Batch;
+    const CheckerOptions Fleet = fleetOpts(Base, 2);
+    struct Engine {
+      const char *Name;
+      CheckerOptions Opts;
+      const char *Chaos; // FSMC_FLEET_CHAOS for this leg; null = ambient
+    };
+    const Engine Engines[] = {{"jobs=2", Jobs, nullptr},
+                              {"fleet=2", Fleet, nullptr},
+                              {"fleet=2 kill:2", Fleet, "kill:2"},
+                              {"isolate=batch", Isolated, nullptr}};
+    for (const Engine &E : Engines) {
+      SCOPED_TRACE(E.Name);
+      std::optional<ChaosEnv> Env;
+      if (E.Chaos)
+        Env.emplace(E.Chaos);
+      obs::CounterSnapshot Got = countersOf(P, E.Opts, false);
+      for (obs::Counter C : Pinned)
+        EXPECT_EQ(Got.counter(C), Serial.counter(C)) << obs::counterName(C);
+    }
+  }
+
+  // Phase timing reaches the workers too.
+  for (const CheckerOptions &O :
+       {fleetOpts(exhaustiveOpts(1), 2), [] {
+          CheckerOptions I = exhaustiveOpts(1);
+          I.Isolate = IsolationMode::Batch;
+          return I;
+        }()}) {
+    obs::CounterSnapshot Got =
+        countersOf(registryProgram("dining-philosophers"), O, true);
+    EXPECT_GT(Got.phaseNs(obs::Phase::Replay), 0u);
+    EXPECT_GT(Got.phaseNs(obs::Phase::Execute), 0u);
+  }
 }
 
 //===----------------------------------------------------------------------===//

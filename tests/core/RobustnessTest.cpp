@@ -17,8 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <type_traits>
 
 using namespace fsmc;
 
@@ -129,12 +131,22 @@ TEST(Divergence, MismatchInFinalTransitionIsStillCaught) {
 // Checkpoint encode/decode.
 //===----------------------------------------------------------------------===
 
+/// A nonzero value for the \p N-th stats row, distinct across rows; the
+/// fraction makes a lossy double encoding visible.
+template <typename T> T distinctStat(int N) {
+  if constexpr (std::is_floating_point_v<T>)
+    return T(N) + 1.0 / 3;
+  else
+    return T(N);
+}
+
 TEST(Checkpoint, EncodeDecodeRoundTrip) {
   CheckpointState CK;
-  CK.Stats.Executions = 123;
-  CK.Stats.Transitions = 4567;
-  CK.Stats.MaxDepth = 17;
-  CK.Stats.Divergences = 2;
+  int Row = 1;
+#define FSMC_STAT_SET(Type, Member, Key, Merge, Json)                          \
+  CK.Stats.Member = distinctStat<Type>(Row++);
+  FSMC_SEARCH_STATS(FSMC_STAT_SET)
+#undef FSMC_STAT_SET
   CK.Rng = 0xdeadbeefULL;
   CK.States = {3, 5, 8};
   CK.Frontier.push_back({{{0, 2, true}, {1, 3, true}}, 1});
@@ -155,10 +167,18 @@ TEST(Checkpoint, EncodeDecodeRoundTrip) {
   EXPECT_EQ(Program, "prog x");
   EXPECT_EQ(Seed, 42u);
   EXPECT_EQ(Out.Rng, CK.Rng);
-  EXPECT_EQ(Out.Stats.Executions, CK.Stats.Executions);
-  EXPECT_EQ(Out.Stats.Transitions, CK.Stats.Transitions);
-  EXPECT_EQ(Out.Stats.MaxDepth, CK.Stats.MaxDepth);
-  EXPECT_EQ(Out.Stats.Divergences, CK.Stats.Divergences);
+  // Every row that accumulates across run parts survives exactly; Run
+  // rows are not persisted, except that the distinct-state count is
+  // rebuilt from the states line.
+#define FSMC_STAT_CHECK(Type, Member, Key, Merge, Json)                        \
+  if (StatMerge::Merge != StatMerge::Run) {                                    \
+    EXPECT_EQ(Out.Stats.Member, CK.Stats.Member) << Key;                       \
+  } else if (std::string(Key) != "distinct_states") {                          \
+    EXPECT_EQ(Out.Stats.Member, Type()) << Key;                                \
+  }
+  FSMC_SEARCH_STATS(FSMC_STAT_CHECK)
+#undef FSMC_STAT_CHECK
+  EXPECT_EQ(Out.Stats.DistinctStates, CK.States.size());
   EXPECT_EQ(Out.States, CK.States);
   ASSERT_EQ(Out.Frontier.size(), CK.Frontier.size());
   for (size_t I = 0; I < CK.Frontier.size(); ++I) {
@@ -180,6 +200,28 @@ TEST(Checkpoint, EncodeDecodeRoundTrip) {
   EXPECT_EQ(Out.Bug->AtExecution, B.AtExecution);
 }
 
+TEST(Checkpoint, MergeAppliesEachRowsRule) {
+  SearchStats A, B;
+  int Row = 1;
+#define FSMC_STAT_SET(Type, Member, Key, Merge, Json)                          \
+  A.Member = distinctStat<Type>(Row);                                          \
+  B.Member = distinctStat<Type>(100 - Row++);
+  FSMC_SEARCH_STATS(FSMC_STAT_SET)
+#undef FSMC_STAT_SET
+  SearchStats M = A;
+  mergeSearchStats(M, B);
+#define FSMC_STAT_CHECK(Type, Member, Key, Merge, Json)                        \
+  if (StatMerge::Merge == StatMerge::Sum) {                                    \
+    EXPECT_EQ(M.Member, Type(A.Member + B.Member)) << Key;                     \
+  } else if (StatMerge::Merge == StatMerge::Max) {                             \
+    EXPECT_EQ(M.Member, std::max(A.Member, B.Member)) << Key;                  \
+  } else {                                                                     \
+    EXPECT_EQ(M.Member, A.Member) << Key;                                      \
+  }
+  FSMC_SEARCH_STATS(FSMC_STAT_CHECK)
+#undef FSMC_STAT_CHECK
+}
+
 TEST(Checkpoint, DecodeRejectsGarbage) {
   CheckpointState CK;
   std::string Program, Err;
@@ -187,6 +229,24 @@ TEST(Checkpoint, DecodeRejectsGarbage) {
   EXPECT_FALSE(decodeCheckpoint("not a checkpoint", CK, Program, Seed, Err));
   EXPECT_FALSE(Err.empty());
   EXPECT_FALSE(decodeCheckpoint("fsmc-ckpt 99\n", CK, Program, Seed, Err));
+  // Versions 1 and 2 are retired: their files read as foreign.
+  for (const char *Old : {"fsmc-ckpt 1\nend\n", "fsmc-ckpt 2\nend\n"}) {
+    Err.clear();
+    EXPECT_FALSE(decodeCheckpoint(Old, CK, Program, Seed, Err)) << Old;
+    EXPECT_NE(Err.find("not a checkpoint file"), std::string::npos) << Err;
+  }
+  // A damaged value is rejected whether or not the key is known.
+  for (const char *Bad :
+       {"fsmc-ckpt 3\nstat executions 12x\nend\n",
+        "fsmc-ckpt 3\nstat executions -1\nend\n",
+        "fsmc-ckpt 3\nstat some_future_stat x\nend\n",
+        "fsmc-ckpt 3\nstatf estimate_mass 0x1p-2q\nend\n",
+        "fsmc-ckpt 3\nstat executions\nend\n"})
+    EXPECT_FALSE(decodeCheckpoint(Bad, CK, Program, Seed, Err)) << Bad;
+  EXPECT_TRUE(decodeCheckpoint("fsmc-ckpt 3\nstat some_future_stat 7\n"
+                               "statf some_future_mass 0x1p-2\nend\n",
+                               CK, Program, Seed, Err))
+      << Err;
 }
 
 //===----------------------------------------------------------------------===
@@ -379,7 +439,7 @@ TEST(Resume, PorParallelResumeOfSerialCheckpointMatches) {
   ASSERT_TRUE(Partial.Stats.Interrupted);
   ASSERT_TRUE(Partial.Resume != nullptr);
 
-  // Wire round-trip: the v2 format must carry the POR stat keys.
+  // Wire round-trip: the checkpoint must carry the POR stat keys.
   std::string Text = encodeCheckpoint(*Partial.Resume, P.Name, O.Seed);
   CheckpointState CK;
   std::string Name, Err;

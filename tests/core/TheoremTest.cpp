@@ -36,6 +36,10 @@ struct FairTerminationCase {
   int Spinners;
 };
 
+// Without a printer gtest dumps the case's raw bytes, pointers included,
+// into the listed test name, so the name would change from build to build.
+void PrintTo(const FairTerminationCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class Theorem2Test : public ::testing::TestWithParam<FairTerminationCase> {};
 
 TEST_P(Theorem2Test, FairSearchExhaustsFairTerminatingPrograms) {

@@ -202,8 +202,8 @@ TEST_F(RunTool, SigintWritesCheckpointAndHonestStats) {
 
 TEST_F(RunTool, SigintPorRunCheckpointsAndResumes) {
   // The SIGINT contract composes with --por=on: the interrupted run's
-  // checkpoint carries the POR stat keys (v2 format) and resumes under
-  // the same flag. Exact interrupted-vs-straight stats equality is
+  // checkpoint carries the POR stat keys and resumes under the same
+  // flag. Exact interrupted-vs-straight stats equality is
   // pinned in-process by Resume.PorInterruptedSearchMatchesUninterrupted;
   // this covers the tool-level plumbing end to end. The search must
   // outlast the SIGINT delay: the reduced peterson search finishes in
@@ -594,36 +594,13 @@ TEST_F(RunTool, CorruptCheckpointExitsEightEverywhere) {
         << From << " -> " << To;
   };
   mutate("fsmc-ckpt 3", "fsmc-ckpt 9");            // unknown version
+  mutate("fsmc-ckpt 3", "fsmc-ckpt 2");            // retired versions
+  mutate("fsmc-ckpt 3", "fsmc-ckpt 1");
   mutate("seed ", "seed garbage-");                // unparseable seed
   mutate("stat executions ", "stat executions x"); // unparseable stat
   mutate("\nend\n", "\n");                         // missing end marker
 
   EXPECT_EQ(run({"--resume=" + Dir + "/does-not-exist.ckpt"}), 2);
-}
-
-TEST_F(RunTool, OlderCheckpointVersionsStillLoad) {
-  // The v3 magic bump (store-buffer stats) must not orphan existing
-  // checkpoint files: a plain run writes no v3-only records, so
-  // rewriting its magic to the v2 or v1 tag produces exactly what those
-  // versions' writers emitted -- and both must still resume.
-  std::string Ckpt = Dir + "/good.ckpt";
-  ASSERT_EQ(run({"--program=peterson", "--cb=1", "--executions=30",
-                 "--checkpoint=" + Ckpt, "--checkpoint-every=10",
-                 "--quiet"}),
-            0);
-  std::string Good = slurp(Ckpt);
-  ASSERT_TRUE(contains(Good, "fsmc-ckpt 3"));
-  ASSERT_FALSE(contains(Good, "buffered_stores"))
-      << "an sc run must not write v3-only stat records";
-
-  for (const char *Old : {"fsmc-ckpt 2", "fsmc-ckpt 1"}) {
-    SCOPED_TRACE(Old);
-    std::string Text = Good;
-    Text.replace(Text.find("fsmc-ckpt 3"), strlen("fsmc-ckpt 3"), Old);
-    std::string Path = Dir + "/old.ckpt";
-    std::ofstream(Path, std::ios::trunc) << Text;
-    EXPECT_EQ(run({"--resume=" + Path, "--cb=1", "--quiet"}), 0);
-  }
 }
 
 TEST_F(RunTool, MemoryFlagRoundTripsThroughReplay) {

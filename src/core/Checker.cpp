@@ -6,12 +6,11 @@
 #include "core/Explorer.h"
 #include "core/Fleet.h"
 #include "core/ParallelExplorer.h"
-#include "obs/SearchProfile.h"
+#include "core/SearchTotals.h"
 
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <unordered_set>
 
 using namespace fsmc;
 
@@ -88,9 +87,10 @@ void fsmc::finalizeRaces(CheckResult &R, const CheckerOptions &Opts) {
 namespace {
 
 /// The serial engine. Without a checkpoint, one explorer over the whole
-/// tree; with one, a chain over its frontier units in order. Stats,
-/// coverage, the RNG and the first-bug slot thread through from unit to
-/// unit, so the aggregate equals one uninterrupted run.
+/// tree; with one, a chain over its frontier units in order. Each unit's
+/// explorer runs on top of the totals so far -- stats, coverage, the RNG
+/// and the first-bug slot thread through -- so the aggregate equals one
+/// uninterrupted run.
 CheckResult runSerial(const TestProgram &Program, const CheckerOptions &Opts,
                       const CheckpointState *From) {
   if (!From) {
@@ -99,22 +99,11 @@ CheckResult runSerial(const TestProgram &Program, const CheckerOptions &Opts,
   }
   const CheckpointState &CK = *From;
   auto Start = std::chrono::steady_clock::now();
-  CheckResult Agg;
-  Agg.Stats = CK.Stats;
-  Agg.Stats.TimedOut = false;
-  Agg.Stats.ExecutionCapHit = false;
-  Agg.Stats.SearchExhausted = false;
-  Agg.Stats.Interrupted = false;
+  // Each unit's explorer dedups races afresh; the totals dedup across
+  // units (docs/RACES.md: races before the checkpoint may recount).
+  SearchTotals Totals(Opts, From);
   uint64_t Rng = CK.Rng ? CK.Rng : Opts.Seed;
-  std::vector<uint64_t> States = CK.States;
-  std::optional<BugReport> Bug = CK.Bug;
-  // Each frontier unit runs its own explorer with a fresh race-dedup set,
-  // so unit N+1 can re-report a race unit N already found; dedup across
-  // units here and keep the cumulative count consistent. Races found
-  // before the checkpoint are not keyed in the file, so a resumed run may
-  // recount them (documented in docs/RACES.md).
-  std::unordered_set<std::string> RaceKeys;
-  const uint64_t RaceBase = CK.Stats.RacesFound;
+  CheckResult R; // The last unit's result.
 
   for (size_t U = 0; U < CK.Frontier.size(); ++U) {
     CheckerOptions SubOpts = Opts;
@@ -128,11 +117,13 @@ CheckResult runSerial(const TestProgram &Program, const CheckerOptions &Opts,
     }
     if (Opts.CheckpointSink) {
       // A periodic checkpoint inside one unit must also carry the units
-      // not yet started, or resuming from it would lose them.
+      // not yet started, or resuming from it would lose them, and the
+      // crash incidents of the run parts before this one.
       SubOpts.CheckpointSink = [&Opts, &CK, U](const CheckpointState &S) {
         CheckpointState Full = S;
         for (size_t V = U + 1; V < CK.Frontier.size(); ++V)
           Full.Frontier.push_back(CK.Frontier[V]);
+        Full.Incidents = CK.Incidents;
         Opts.CheckpointSink(Full);
       };
     }
@@ -140,38 +131,22 @@ CheckResult runSerial(const TestProgram &Program, const CheckerOptions &Opts,
     Explorer E(Program, SubOpts);
     E.preloadScheduleFrozenPrefix(CK.Frontier[U].Prefix,
                                   CK.Frontier[U].FrozenLen);
-    E.preloadBaseStats(Agg.Stats);
+    E.preloadBaseStats(Totals.stats());
     E.setRngState(Rng);
     if (SubOpts.TrackCoverage)
-      E.preloadSeenStates(States);
-    if (Bug)
-      E.preloadBug(*Bug);
-    CheckResult R = E.run();
+      E.preloadSeenStates(Totals.states());
+    if (Totals.bug())
+      E.preloadBug(*Totals.bug());
+    R = E.run();
     Rng = E.rngState();
-    if (SubOpts.TrackCoverage)
-      States.assign(E.seenStates().begin(), E.seenStates().end());
-
-    Agg.Stats = R.Stats; // Cumulative: the explorer ran on top of Agg.
-    if (R.Profile) {
-      // Per-unit profiles accumulate (stats thread through preloadBaseStats
-      // and need no merge; profiles are per-engine and do).
-      if (!Agg.Profile)
-        Agg.Profile = R.Profile;
-      else
-        Agg.Profile->merge(*R.Profile);
-    }
+    Totals.addOnTop(R, E.seenStates());
     if (R.Bug)
-      Bug = R.Bug;
-    for (const BugReport &I : R.Incidents)
-      if (I.Kind != Verdict::DataRace || RaceKeys.insert(I.Message).second)
-        Agg.Incidents.push_back(I);
-    if (Opts.Races != RaceCheckMode::Off)
-      Agg.Stats.RacesFound = RaceBase + RaceKeys.size();
+      Totals.offerBug(*R.Bug);
 
     if (R.Stats.Interrupted && R.Resume) {
       for (size_t V = U + 1; V < CK.Frontier.size(); ++V)
         R.Resume->Frontier.push_back(CK.Frontier[V]);
-      Agg.Resume = R.Resume;
+      R.Resume->Incidents = CK.Incidents;
       break;
     }
     if (R.Stats.TimedOut || R.Stats.ExecutionCapHit)
@@ -180,22 +155,11 @@ CheckResult runSerial(const TestProgram &Program, const CheckerOptions &Opts,
       break;
   }
 
-  if (Bug) {
-    Agg.Bug = *Bug;
-    Agg.Kind = Bug->Kind;
-  } else if (Agg.Stats.Divergences > 0 && Agg.Stats.Executions == 0) {
-    // Nothing ever replayed (typically a single --replay): a checker
-    // limitation, not a workload bug -- as Explorer::run reports it.
-    Agg.Kind = Verdict::Divergence;
-  }
-  Agg.Stats.DistinctStates = States.size();
-  if (Opts.ExportStateSignatures) {
-    std::sort(States.begin(), States.end());
-    Agg.StateSignatures = std::move(States);
-  }
-  Agg.Stats.Seconds =
+  CheckResult Agg = Totals.finish(
+      R.Stats.ExecutionCapHit, R.Stats.TimedOut, R.Stats.Interrupted,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
-          .count();
+          .count());
+  Agg.Resume = std::move(R.Resume);
   return Agg;
 }
 
@@ -216,36 +180,13 @@ CheckResult fsmc::runSearch(const TestProgram &Program,
   if (Effective.StatefulPruning || Effective.ExportStateSignatures)
     Effective.TrackCoverage = true;
 
-  // Crash and hang incidents recorded before the checkpoint belong to the
-  // whole logical run: the result and every later checkpoint carry them
-  // ahead of this part's own.
-  const std::vector<BugReport> *Carried =
-      From && !From->Incidents.empty() ? &From->Incidents : nullptr;
-  auto prependCarried = [&](std::vector<BugReport> &Into) {
-    Into.insert(Into.begin(), Carried->begin(), Carried->end());
-  };
-  if (Carried && Opts.CheckpointSink)
-    Effective.CheckpointSink = [&](const CheckpointState &CK) {
-      CheckpointState Full = CK;
-      prependCarried(Full.Incidents);
-      Opts.CheckpointSink(Full);
-    };
-
   const bool Serial = Effective.StatefulPruning ||
                       Effective.Kind == SearchKind::RandomWalk ||
                       (Effective.FleetWorkers < 1 && Effective.Jobs <= 1);
   CheckResult R;
   if (From && From->Frontier.empty()) {
     // The checkpoint was taken exactly at exhaustion; nothing to run.
-    R.Stats = From->Stats;
-    R.Stats.SearchExhausted = true;
-    R.Stats.DistinctStates = From->States.size();
-    if (From->Bug) {
-      R.Bug = *From->Bug;
-      R.Kind = From->Bug->Kind;
-    }
-    if (Effective.ExportStateSignatures)
-      R.StateSignatures = From->States;
+    R = SearchTotals(Effective, From).finish(false, false, false, 0);
   } else if (Effective.Isolate == IsolationMode::Batch &&
              !Effective.StatefulPruning) {
     // Isolation is the fleet's one-worker policy (core/Fleet.h). Prune
@@ -257,17 +198,9 @@ CheckResult fsmc::runSearch(const TestProgram &Program,
   } else if (Effective.FleetWorkers >= 1) {
     R = runFleet(Program, Effective, From);
   } else {
-    ParallelExplorer PE(Program, Effective);
-    if (From)
-      PE.resumeFrom(*From);
-    R = PE.run();
+    R = ParallelExplorer(Program, Effective).run(From);
   }
 
-  if (Carried) {
-    prependCarried(R.Incidents);
-    if (R.Resume)
-      prependCarried(R.Resume->Incidents);
-  }
   // No genuine workload bug: the first crash/hang incident stands in.
   // Data races never do -- escalating them is finalizeRaces' decision.
   if (!R.Bug || isProcessDeath(R.Bug->Kind))

@@ -156,7 +156,7 @@ void Explorer::preloadBaseStats(const SearchStats &Base) {
   Result.Stats.Seconds = 0;
 }
 
-void Explorer::preloadSeenStates(const std::vector<uint64_t> &States) {
+void Explorer::preloadSeenStates(const U64Set &States) {
   SeenStates.reserve(SeenStates.size() + States.size());
   for (uint64_t S : States)
     SeenStates.insert(S);

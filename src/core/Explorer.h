@@ -89,7 +89,7 @@ public:
 
   /// Seeds the coverage table with signatures from an earlier run part,
   /// so DistinctStates and exported signatures stay cumulative.
-  void preloadSeenStates(const std::vector<uint64_t> &States);
+  void preloadSeenStates(const U64Set &States);
 
   /// Seeds the first-counterexample slot from an earlier run part
   /// (StopOnFirstBug=false resume), so a later bug cannot displace it.

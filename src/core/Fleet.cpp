@@ -38,6 +38,7 @@
 #include "core/Checkpoint.h"
 #include "core/Explorer.h"
 #include "core/Schedule.h"
+#include "core/SearchTotals.h"
 #include "core/Wire.h"
 #include "core/WorkLease.h"
 #include "obs/Observer.h"
@@ -51,7 +52,6 @@
 #include <optional>
 #include <string>
 #include <type_traits>
-#include <unordered_set>
 #include <vector>
 
 #include <poll.h>
@@ -153,37 +153,10 @@ obs::CounterSnapshot getCounters(WireReader &R) {
 }
 
 //===----------------------------------------------------------------------===//
-// DFS order (mirrors core/ParallelExplorer.cpp so first-bug reports agree)
+// Serialized stacks
 //===----------------------------------------------------------------------===//
 
-/// DFS order over choice paths: the first differing choice index decides;
-/// an ancestor precedes its extensions.
-bool dfsBefore(const std::vector<int> &A, const std::vector<int> &B) {
-  size_t N = A.size() < B.size() ? A.size() : B.size();
-  for (size_t I = 0; I < N; ++I)
-    if (A[I] != B[I])
-      return A[I] < B[I];
-  return A.size() < B.size();
-}
-
-std::vector<int> pathKeyOfSchedule(const std::string &Schedule) {
-  std::vector<ScheduleChoice> Choices;
-  std::vector<int> Key;
-  if (decodeSchedule(Schedule, Choices))
-    for (const ScheduleChoice &C : Choices)
-      Key.push_back(C.Chosen);
-  return Key;
-}
-
-std::vector<int> pathKeyOfPrefix(const std::vector<ScheduleChoice> &P) {
-  std::vector<int> Key;
-  Key.reserve(P.size());
-  for (const ScheduleChoice &C : P)
-    Key.push_back(C.Chosen);
-  return Key;
-}
-
-/// Mirrors Explorer::advanceStack on a serialized stack: bump the deepest
+/// Explorer::advanceStack on a serialized stack: bump the deepest
 /// backtrackable record with an untried alternative, popping exhausted
 /// ones, never descending into the frozen region. Random walks never
 /// backtrack; their next path is the bare frozen prefix.
@@ -553,8 +526,8 @@ struct WorkerCtl {
       Ctl.pump(/*Block=*/false);
       // Everything still unexplored in this unit is DFS-after the path
       // just consumed; if that path is already at-or-after the best bug,
-      // nothing here can improve it (the parallel driver's afterBestBug
-      // pruning; the coordinator retires the remainder unrun).
+      // nothing here can improve it (SearchTotals::afterBest, on the key
+      // the coordinator sent; the coordinator retires the remainder unrun).
       if (Ctl.HaveBest && Cfg.Opts.StopOnFirstBug &&
           !dfsBefore(Ex.consumedPathKey(), Ctl.BestKey))
         return true;
@@ -596,12 +569,10 @@ struct WorkerCtl {
 /// Isolation: a leased attempt as of its last finished execution.
 struct Progress {
   bool Have = false;
-  SearchStats Stats; // unit-local, cumulative over the attempt
+  CheckResult Part; // stats (cumulative over the attempt), incidents, bug
   uint64_t Rng = 0;
   std::vector<ScheduleChoice> Stack;
-  std::vector<uint64_t> States;     // accumulated coverage deltas
-  std::vector<BugReport> Incidents; // accumulated race incidents
-  std::optional<BugReport> Bug;
+  std::vector<uint64_t> States;  // accumulated coverage deltas
   obs::CounterSnapshot Counters; // cumulative over the attempt
 };
 
@@ -750,17 +721,10 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
   LC.QuarantineAfter = Opts.FleetQuarantine > 0 ? Opts.FleetQuarantine : 3;
   LeaseTable LT(LC);
 
-  // Committed search state; exactly the parallel driver's Shared merge.
-  SearchStats Total;
-  std::unordered_set<uint64_t> States;
-  std::unordered_set<std::string> RaceKeys;
-  std::vector<BugReport> RaceIncidents;
-  std::vector<BugReport> CrashIncidents; // crash/hang incidents, in order
-  bool HasBug = false;
-  std::vector<int> BestKey;
-  BugReport BestBug;
-  Verdict BestKind = Verdict::Pass;
-  uint64_t RaceBase = 0;
+  // The committed search (core/SearchTotals.h); attempts enter it only
+  // through commitAttempt.
+  SearchTotals Totals(Opts, ResumeCK);
+  SearchStats &Total = Totals.stats();
   // The PRNG state units start from. It chains from execution to
   // execution only under isolation, where one worker runs them in serial
   // order; fleet attempts all start from the seed.
@@ -769,29 +733,7 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
   bool Interrupted = false, CapHit = false, TimedOut = false;
   std::shared_ptr<CheckpointState> ResumeOut;
 
-  auto offerBug = [&](const BugReport &B, Verdict K) {
-    std::vector<int> Key = pathKeyOfSchedule(B.Schedule);
-    // A random walk has no DFS order; like the serial explorer, it keeps
-    // the first counterexample.
-    if (!HasBug || (!RandomWalk && dfsBefore(Key, BestKey))) {
-      HasBug = true;
-      BestKey = std::move(Key);
-      BestBug = B;
-      BestKind = K;
-      return true;
-    }
-    return false;
-  };
-
   if (ResumeCK) {
-    Total = ResumeCK->Stats;
-    Total.TimedOut = Total.ExecutionCapHit = Total.SearchExhausted =
-        Total.Interrupted = false;
-    Total.Seconds = 0;
-    States.insert(ResumeCK->States.begin(), ResumeCK->States.end());
-    RaceBase = ResumeCK->Stats.RacesFound;
-    if (ResumeCK->Bug)
-      offerBug(*ResumeCK->Bug, ResumeCK->Bug->Kind);
     if (Isolated && ResumeCK->Rng)
       Rng = ResumeCK->Rng;
     for (const CheckpointUnit &U : ResumeCK->Frontier)
@@ -831,8 +773,8 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
   };
   auto bestBugRecord = [&]() {
     WireWriter Wr;
-    Wr.u32(uint32_t(BestKey.size()));
-    for (int K : BestKey)
+    Wr.u32(uint32_t(Totals.bestKey().size()));
+    for (int K : Totals.bestKey())
       Wr.u32(uint32_t(K));
     return Wr;
   };
@@ -845,16 +787,10 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
 
   auto recordIncident = [&](Verdict K, std::string Why,
                             const std::vector<ScheduleChoice> &Stack) {
-    if (K == Verdict::Hang)
-      bump(obs::Counter::Hangs, Total.Hangs);
-    else
-      bump(obs::Counter::Crashes, Total.Crashes);
-    BugReport I;
-    I.Kind = K;
-    I.Message = std::move(Why);
-    I.Schedule = encodeSchedule(Stack);
-    I.AtExecution = Total.Executions;
-    CrashIncidents.push_back(std::move(I));
+    if (Ctr)
+      Ctr->add(K == Verdict::Hang ? obs::Counter::Hangs
+                                  : obs::Counter::Crashes);
+    Totals.addCrash(K, std::move(Why), encodeSchedule(Stack));
   };
   auto quarantineIncident = [&](uint64_t Id, const std::string &Why) {
     bump(obs::Counter::FleetQuarantined, Total.FleetQuarantined);
@@ -864,27 +800,19 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
   // Merges one committed attempt -- the only way search results enter the
   // totals, shared by UnitDone, isolation's partial commits and the
   // in-process fallback. \p Counts is what the attempt counted.
-  auto commitAttempt = [&](uint64_t LeaseId, const SearchStats &S,
+  auto commitAttempt = [&](uint64_t LeaseId, const CheckResult &Part,
+                           const std::vector<uint64_t> &UnitStates,
                            const obs::CounterSnapshot &Counts,
                            bool AttemptTimedOut,
-                           const std::optional<BugReport> &Bug,
-                           const std::vector<BugReport> &Incs,
-                           const std::vector<uint64_t> &UnitStates,
                            std::vector<std::vector<ScheduleChoice>> &&Rem,
                            uint64_t EndRng, bool Broadcast) {
     if (Ctr)
       Ctr->addDelta(Counts);
-    mergeSearchStats(Total, S);
-    States.insert(UnitStates.begin(), UnitStates.end());
-    for (const BugReport &I : Incs)
-      if (I.Kind != Verdict::DataRace || RaceKeys.insert(I.Message).second) {
-        if (I.Kind == Verdict::DataRace && Ctr)
-          Ctr->add(obs::Counter::RacesFound);
-        RaceIncidents.push_back(I);
-      }
-    if (Opts.Races != RaceCheckMode::Off)
-      Total.RacesFound = RaceBase + RaceKeys.size();
-    if (Bug && offerBug(*Bug, Bug->Kind) && Broadcast && Opts.StopOnFirstBug)
+    uint64_t NewRaces = Totals.add(Part, UnitStates);
+    if (Ctr && NewRaces)
+      Ctr->add(obs::Counter::RacesFound, NewRaces);
+    if (Part.Bug && Totals.offerBug(*Part.Bug) && Broadcast &&
+        Opts.StopOnFirstBug)
       broadcastBestBug();
     for (std::vector<ScheduleChoice> &P : Rem) {
       size_t N = P.size();
@@ -900,10 +828,11 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
   auto commitUnitDone = [&](FleetWorker &W, WireReader R) {
     uint64_t LeaseId = R.u64();
     uint8_t Flags = R.u8();
-    SearchStats S = R.stats();
+    CheckResult Part;
+    Part.Stats = R.stats();
     uint64_t EndRng = R.u64();
-    std::optional<BugReport> Bug = getOptBug(R);
-    std::vector<BugReport> Incs = getBugs(R);
+    Part.Bug = getOptBug(R);
+    Part.Incidents = getBugs(R);
     std::vector<uint64_t> UnitStates = R.states();
     uint32_t NRem = R.u32();
     std::vector<std::vector<ScheduleChoice>> Rem;
@@ -920,8 +849,9 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
       return;
     }
     W.LeaseId = 0;
-    commitAttempt(LeaseId, S, Counts, (Flags & FlagTimedOut) != 0, Bug, Incs,
-                  UnitStates, std::move(Rem), EndRng, /*Broadcast=*/true);
+    commitAttempt(LeaseId, Part, UnitStates, Counts,
+                  (Flags & FlagTimedOut) != 0, std::move(Rem), EndRng,
+                  /*Broadcast=*/true);
   };
 
   auto noteProgress = [&](FleetWorker &W, WireReader R) {
@@ -937,13 +867,13 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
       return;
     Progress &P = W.Prog;
     P.Have = true;
-    P.Stats = S;
+    P.Part.Stats = S;
     P.Rng = AtRng;
     P.Stack = std::move(Stack);
     P.States.insert(P.States.end(), Delta.begin(), Delta.end());
-    P.Incidents.insert(P.Incidents.end(), Incs.begin(), Incs.end());
+    P.Part.Incidents.insert(P.Part.Incidents.end(), Incs.begin(), Incs.end());
     if (Bug)
-      P.Bug = std::move(Bug);
+      P.Part.Bug = std::move(Bug);
     P.Counters = Counts;
     LT.renew(LeaseId, elapsed() + HbTimeout);
   };
@@ -955,8 +885,8 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
   auto recoverIsolated = [&](FleetWorker &W, uint64_t Id, int Status) {
     Progress P = std::move(W.Prog);
     const WorkUnit &U = LT.unit(Id);
-    commitAttempt(Id, P.Stats, P.Counters, false, P.Bug, P.Incidents,
-                  P.States, {}, P.Have ? P.Rng : Rng, /*Broadcast=*/false);
+    commitAttempt(Id, P.Part, P.States, P.Counters, false, {},
+                  P.Have ? P.Rng : Rng, /*Broadcast=*/false);
     // The execution that killed the worker replays advance(stack of the
     // last finished one) -- or the unit's own prefix if none finished.
     std::vector<ScheduleChoice> Stack = P.Have ? P.Stack : U.Prefix;
@@ -1110,12 +1040,6 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
     return Opts.InterruptFlag &&
            Opts.InterruptFlag->load(std::memory_order_relaxed);
   };
-  // DFS-at-or-after the best bug: cannot improve it (the parallel
-  // driver's discard rule). A random walk stops at its first bug.
-  auto prunedByBestBug = [&](const std::vector<ScheduleChoice> &Prefix) {
-    return Opts.StopOnFirstBug && HasBug &&
-           (RandomWalk || !dfsBefore(pathKeyOfPrefix(Prefix), BestKey));
-  };
 
   auto issueUnits = [&]() {
     double Now = elapsed();
@@ -1128,8 +1052,8 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
         if (!U)
           break;
         uint64_t Id = U->Id;
-        if (prunedByBestBug(U->Prefix)) {
-          // Retire the unit without running it.
+        if (Totals.afterBest(pathKeyOfPrefix(U->Prefix))) {
+          // Retire the unit without running it: it cannot improve the bug.
           LT.commit(Id);
           continue;
         }
@@ -1160,7 +1084,7 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
         W.Prog = Progress();
         if (!sendTo(W, TagUnit, Wr))
           break; // worker just died; reap fails the lease
-        if (Opts.StopOnFirstBug && HasBug)
+        if (Opts.StopOnFirstBug && Totals.bug())
           (void)sendTo(W, TagBestBug, bestBugRecord());
         break; // one outstanding unit per worker
       }
@@ -1168,23 +1092,10 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
   };
 
   auto buildCheckpoint = [&]() {
-    auto CK = std::make_shared<CheckpointState>();
-    CK->Stats = Total;
-    CK->Stats.TimedOut = CK->Stats.ExecutionCapHit =
-        CK->Stats.SearchExhausted = CK->Stats.Interrupted = false;
-    CK->Stats.Seconds = 0;
-    CK->Stats.DistinctStates = States.size();
-    if (Opts.Races != RaceCheckMode::Off)
-      CK->Stats.RacesFound = RaceBase + RaceKeys.size();
-    CK->Rng = Rng;
-    CK->States.assign(States.begin(), States.end());
-    std::sort(CK->States.begin(), CK->States.end());
+    std::vector<CheckpointUnit> Frontier;
     for (const WorkUnit *U : LT.pendingUnits())
-      CK->Frontier.push_back({U->Prefix, U->FrozenLen});
-    if (HasBug)
-      CK->Bug = BestBug;
-    CK->Incidents = CrashIncidents;
-    return CK;
+      Frontier.push_back({U->Prefix, U->FrozenLen});
+    return Totals.checkpoint(std::move(Frontier), Rng);
   };
 
   // Settles every outstanding lease: asks busy workers to stop (they
@@ -1308,7 +1219,7 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
                     " worker deaths) quarantined: no fleet workers left");
         continue;
       }
-      if (prunedByBestBug(U->Prefix)) {
+      if (Totals.afterBest(pathKeyOfPrefix(U->Prefix))) {
         LT.commit(Id);
         continue;
       }
@@ -1326,16 +1237,14 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
         Budget = Opts.MaxExecutions - Total.Executions;
       Attempt A(Program, AOpts, IU, &Pool);
       CheckResult R = A.run(RandomWalk, [&](Explorer &Ex, uint64_t Done) {
-        if (Opts.StopOnFirstBug && HasBug &&
-            !dfsBefore(Ex.consumedPathKey(), BestKey))
-          return true;
-        return interruptRequested() || Done >= Budget;
+        return Totals.afterBest(Ex.consumedPathKey()) ||
+               interruptRequested() || Done >= Budget;
       });
       obs::CounterSnapshot Counts =
           Local ? Local->drain() : obs::CounterSnapshot();
-      commitAttempt(Id, R.Stats, Counts, R.Stats.TimedOut, R.Bug,
-                    R.Incidents, A.sortedStates(), std::move(A.Remainder),
-                    A.E.rngState(), /*Broadcast=*/false);
+      commitAttempt(Id, R, A.sortedStates(), Counts, R.Stats.TimedOut,
+                    std::move(A.Remainder), A.E.rngState(),
+                    /*Broadcast=*/false);
     }
   };
 
@@ -1393,42 +1302,10 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
 
   shutdownWorkers();
 
-  CheckResult Result;
-  Result.Stats = Total;
-  Result.Stats.DistinctStates = States.size();
-  // Crash incidents keep their arrival order; race incidents sort by
-  // message so the list is deterministic across widths and schedules of
-  // arrival. runSearch picks the crash incident that stands in as the bug.
-  std::sort(RaceIncidents.begin(), RaceIncidents.end(),
-            [](const BugReport &A, const BugReport &B) {
-              return A.Message < B.Message;
-            });
-  Result.Incidents = std::move(CrashIncidents);
-  Result.Incidents.insert(Result.Incidents.end(), RaceIncidents.begin(),
-                          RaceIncidents.end());
-  if (Opts.Races != RaceCheckMode::Off)
-    Result.Stats.RacesFound = RaceBase + RaceKeys.size();
-  if (Opts.ExportStateSignatures) {
-    Result.StateSignatures.assign(States.begin(), States.end());
-    std::sort(Result.StateSignatures.begin(), Result.StateSignatures.end());
-  }
-  Result.Stats.ExecutionCapHit = CapHit;
-  Result.Stats.TimedOut = TimedOut;
-  Result.Stats.Interrupted = Interrupted;
-  if (Interrupted)
-    Result.Resume = ResumeOut;
-  if (HasBug) {
-    Result.Kind = BestKind;
-    Result.Bug = BestBug;
-  } else if (Total.Divergences > 0 && Total.Executions == 0) {
-    Result.Kind = Verdict::Divergence;
-  }
-  // Exhausted iff nothing cut the enumeration short. First-bug pruning
-  // mirrors the serial early stop (flag stays clear), and a skipped
-  // crashing subtree counts as explored.
-  Result.Stats.SearchExhausted =
-      !CapHit && !TimedOut && !Interrupted && !(HasBug && Opts.StopOnFirstBug);
-  Result.Stats.Seconds = elapsed();
+  // Crash incidents keep their arrival order; runSearch picks the one
+  // that stands in as the bug.
+  CheckResult Result = Totals.finish(CapHit, TimedOut, Interrupted, elapsed());
+  Result.Resume = ResumeOut;
   if (Ctr) {
     Ctr->setGauge(obs::Gauge::WorkQueueDepth, 0);
     Ctr->setGauge(obs::Gauge::ActiveWorkers, 0);

@@ -9,14 +9,13 @@
 // largest subtrees), and only when every deque is empty posts a *steal
 // request* on an active victim; the victim answers at its next execution
 // boundary by splitting its shallowest unexplored siblings onto its own
-// deque top, where thieves grab them. Cross-worker results (stats,
-// coverage signatures, race dedup, search profile) accumulate in
-// worker-local buffers and merge once per worker per epoch, so the
-// steady-state execution loop acquires no shared lock at all: its only
-// shared traffic is a handful of relaxed atomic loads and one fetch_add
-// on the execution counter. The best-bug check that used to take a mutex
-// every execution is now a generation-stamped cache refreshed only when
-// some worker actually lands a better bug.
+// deque top, where thieves grab them. Cross-worker results accumulate in
+// a worker-local SearchTotals that merges into the shared one once per
+// worker per epoch, so the steady-state execution loop acquires no shared
+// lock at all: its only shared traffic is a handful of relaxed atomic
+// loads and one fetch_add on the execution counter. The best-bug check
+// that used to take a mutex every execution is now a generation-stamped
+// cache refreshed only when some worker actually lands a better bug.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,45 +24,23 @@
 #include "core/Checkpoint.h"
 #include "core/Explorer.h"
 #include "core/Schedule.h"
+#include "core/SearchTotals.h"
 #include "core/WorkQueue.h"
 #include "core/WorkStealDeque.h"
 #include "obs/Observer.h"
-#include "obs/SearchProfile.h"
 #include "runtime/StackPool.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <chrono>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 using namespace fsmc;
 
 namespace {
-
-/// DFS order over choice paths: the first differing choice index decides;
-/// an ancestor precedes its extensions. Two distinct complete executions
-/// always differ at some consumed index, so this totally orders bugs.
-bool dfsBefore(const std::vector<int> &A, const std::vector<int> &B) {
-  size_t N = A.size() < B.size() ? A.size() : B.size();
-  for (size_t I = 0; I < N; ++I)
-    if (A[I] != B[I])
-      return A[I] < B[I];
-  return A.size() < B.size();
-}
-
-std::vector<int> pathKeyOfSchedule(const std::string &Schedule) {
-  std::vector<ScheduleChoice> Choices;
-  std::vector<int> Key;
-  if (decodeSchedule(Schedule, Choices))
-    for (const ScheduleChoice &C : Choices)
-      Key.push_back(C.Chosen);
-  return Key;
-}
 
 /// How long an idle worker parks on the injector between rescans. Also
 /// bounds the window in which a lock-free notify can be missed.
@@ -72,10 +49,11 @@ constexpr std::chrono::microseconds ParkTimeout(500);
 } // namespace
 
 struct ParallelExplorer::Shared {
-  Shared(size_t QueueCapacity, size_t Jobs)
-      : Injector(QueueCapacity), Deques(Jobs),
-        StealReq(std::make_unique<std::atomic<bool>[]>(Jobs)),
-        Active(std::make_unique<std::atomic<bool>[]>(Jobs)) {
+  Shared(size_t Jobs, const CheckerOptions &Opts,
+         const CheckpointState *From)
+      : Deques(Jobs), StealReq(std::make_unique<std::atomic<bool>[]>(Jobs)),
+        Active(std::make_unique<std::atomic<bool>[]>(Jobs)),
+        Totals(Opts, From) {
     for (size_t I = 0; I < Jobs; ++I) {
       StealReq[I].store(false, std::memory_order_relaxed);
       Active[I].store(false, std::memory_order_relaxed);
@@ -117,32 +95,18 @@ struct ParallelExplorer::Shared {
   std::mutex StashM;
   std::vector<std::vector<ScheduleChoice>> Stash;
 
-  // Best (DFS-smallest) bug so far. Guarded by BugM, but *not* read
-  // per-execution: BugVersion bumps on every improvement, and workers
-  // keep a private copy of (HasBug, BestKey) refreshed only when the
-  // version moved. Pruning against a slightly stale best is sound --
-  // a former best is DFS-after the current best, so anything pruned as
-  // DFS-after the former best is DFS-after the current best too.
-  std::mutex BugM;
+  // The committed search. Workers take TotalsM to offer a bug, to
+  // refresh their copy of the best bug's key, and once per epoch to merge
+  // their local totals (before the epoch's join, so the driver sees
+  // complete totals between epochs). The best bug is *not* read per
+  // execution: BugVersion bumps on every improvement, and workers keep a
+  // private copy of its key refreshed only when the version moved.
+  // Pruning against a slightly stale best is sound -- a former best is
+  // DFS-after the current best, so anything pruned as DFS-after the
+  // former best is DFS-after the current best too.
+  std::mutex TotalsM;
+  SearchTotals Totals;
   std::atomic<uint64_t> BugVersion{0};
-  bool HasBug = false;
-  std::vector<int> BestKey;
-  BugReport BestBug;
-  Verdict BestKind = Verdict::Pass;
-
-  // Result aggregation, deferred: workers accumulate stats, signature
-  // shards and race incidents in worker-local buffers and merge them
-  // here once per worker per epoch (before the epoch's join), never per
-  // item. Guarded by MergeM.
-  std::mutex MergeM;
-  SearchStats Total;
-  std::shared_ptr<obs::SearchProfile> Profile; ///< Guarded by MergeM.
-  std::unordered_set<uint64_t> States;
-  // Race incidents, deduplicated globally: workers dedup only within
-  // their own buffers, so the same race arriving from two workers must
-  // collapse here. Guarded by MergeM.
-  std::unordered_set<std::string> RaceKeys;
-  std::vector<BugReport> RaceIncidents;
 
   void requestStop() {
     StopAll.store(true, std::memory_order_relaxed);
@@ -168,16 +132,10 @@ struct ParallelExplorer::Shared {
       Stash.push_back(std::move(P));
   }
 
-  void offerBug(const BugReport &Bug, Verdict Kind) {
-    std::vector<int> Key = pathKeyOfSchedule(Bug.Schedule);
-    std::lock_guard<std::mutex> Lock(BugM);
-    if (!HasBug || dfsBefore(Key, BestKey)) {
-      HasBug = true;
-      BestKey = std::move(Key);
-      BestBug = Bug;
-      BestKind = Kind;
+  void offerBug(const BugReport &Bug) {
+    std::lock_guard<std::mutex> Lock(TotalsM);
+    if (Totals.offerBug(Bug))
       BugVersion.fetch_add(1, std::memory_order_release);
-    }
   }
 };
 
@@ -185,13 +143,7 @@ ParallelExplorer::ParallelExplorer(const TestProgram &Program,
                                    const CheckerOptions &Opts)
     : Program(Program), Opts(Opts) {}
 
-ParallelExplorer::~ParallelExplorer() = default;
-
-void ParallelExplorer::resumeFrom(const CheckpointState &CK) {
-  ResumeCK = std::make_shared<CheckpointState>(CK);
-}
-
-CheckResult ParallelExplorer::run() {
+CheckResult ParallelExplorer::run(const CheckpointState *From) {
   int Jobs = Opts.Jobs;
   // Random walks draw fresh randomness per execution and stateful pruning
   // keys off the global visit order; neither partitions by prefix, so
@@ -200,7 +152,7 @@ CheckResult ParallelExplorer::run() {
          !Opts.StatefulPruning && "not a parallel search");
 
   auto Start = std::chrono::steady_clock::now();
-  Shared SH(/*QueueCapacity=*/size_t(Jobs) * 64, size_t(Jobs));
+  Shared SH(size_t(Jobs), Opts, From);
   if (Opts.Obs)
     SH.Injector.setObserver(&Opts.Obs->shard(0));
   if (Opts.TimeBudgetSeconds > 0) {
@@ -211,22 +163,13 @@ CheckResult ParallelExplorer::run() {
                                   Opts.TimeBudgetSeconds));
   }
 
-  if (ResumeCK) {
-    // Continue a checkpointed run: cumulative totals, seeded coverage,
-    // the carried-over first bug, and the frontier sharded into fully
-    // frozen subtree prefixes. The injector's capacity is soft, so a
-    // frontier wider than the queue still seeds completely.
-    SH.Total = ResumeCK->Stats;
-    SH.Total.TimedOut = SH.Total.ExecutionCapHit = SH.Total.SearchExhausted =
-        SH.Total.Interrupted = false;
-    SH.Total.Seconds = 0;
-    SH.Executions.store(ResumeCK->Stats.Executions,
+  if (From) {
+    // Continue a checkpointed run: the totals started from it; shard the
+    // frontier into fully frozen subtree prefixes.
+    SH.Executions.store(From->Stats.Executions,
                         std::memory_order_relaxed);
-    SH.States.insert(ResumeCK->States.begin(), ResumeCK->States.end());
-    if (ResumeCK->Bug)
-      SH.offerBug(*ResumeCK->Bug, ResumeCK->Bug->Kind);
     std::vector<WorkItem> Seed;
-    for (const CheckpointUnit &U : ResumeCK->Frontier)
+    for (const CheckpointUnit &U : From->Frontier)
       for (auto &P : decomposeUnitToFrozenPrefixes(U))
         Seed.push_back(WorkItem{std::move(P)});
     SH.registerItems(Seed.size());
@@ -286,15 +229,12 @@ CheckResult ParallelExplorer::run() {
         WCtr->add(obs::Counter::QueueLockAcquires);
     };
 
-    // Worker-local merge buffers: reconciled into SH once, at worker
-    // exit (= end of epoch), never per item or per execution.
-    SearchStats LStats;
-    std::shared_ptr<obs::SearchProfile> LProfile;
-    std::unordered_set<uint64_t> LStates;
-    std::unordered_set<std::string> LRaceKeys;
-    std::vector<BugReport> LRaceIncidents;
+    // Worker-local totals: merged into SH once, at worker exit (= end of
+    // epoch), never per item or per execution.
+    SearchTotals Local(WorkerOpts);
 
-    // Generation-stamped private copy of the best bug (see Shared::BugM).
+    // Generation-stamped private copy of the best bug's key (see
+    // Shared::TotalsM).
     uint64_t LBugVer = 0;
     bool LHasBug = false;
     std::vector<int> LBestKey;
@@ -302,10 +242,10 @@ CheckResult ParallelExplorer::run() {
       if (SH.BugVersion.load(std::memory_order_acquire) == LBugVer)
         return;
       CountLock();
-      std::lock_guard<std::mutex> Lock(SH.BugM);
+      std::lock_guard<std::mutex> Lock(SH.TotalsM);
       LBugVer = SH.BugVersion.load(std::memory_order_relaxed);
-      LHasBug = SH.HasBug;
-      LBestKey = SH.BestKey;
+      LHasBug = SH.Totals.bug().has_value();
+      LBestKey = SH.Totals.bestKey();
     };
 
     /// Posts a steal request at the nearest active worker. One victim
@@ -402,15 +342,9 @@ CheckResult ParallelExplorer::run() {
       // Serial semantics never reach subtrees past the first bug.
       if (StopOnFirstBug && !Item->Prefix.empty()) {
         RefreshBug();
-        if (LHasBug) {
-          std::vector<int> Key;
-          Key.reserve(Item->Prefix.size());
-          for (const ScheduleChoice &C : Item->Prefix)
-            Key.push_back(C.Chosen);
-          if (!dfsBefore(Key, LBestKey)) {
-            SH.finishItems(1);
-            continue;
-          }
+        if (LHasBug && !dfsBefore(pathKeyOfPrefix(Item->Prefix), LBestKey)) {
+          SH.finishItems(1);
+          continue;
         }
       }
 
@@ -532,21 +466,9 @@ CheckResult ParallelExplorer::run() {
       }
       if (R.Bug) {
         CountLock();
-        SH.offerBug(*R.Bug, R.Kind);
+        SH.offerBug(*R.Bug);
       }
-      // Worker-local accumulation -- the per-item merge lock is gone.
-      mergeSearchStats(LStats, R.Stats);
-      if (R.Profile) {
-        if (!LProfile)
-          LProfile = R.Profile;
-        else
-          LProfile->merge(*R.Profile);
-      }
-      if (!E.seenStates().empty())
-        LStates.insert(E.seenStates().begin(), E.seenStates().end());
-      for (const BugReport &I : R.Incidents)
-        if (I.Kind != Verdict::DataRace || LRaceKeys.insert(I.Message).second)
-          LRaceIncidents.push_back(I);
+      Local.add(R, E.seenStates());
       Clock = E.obsClock();
       if (WCtr) {
         WCtr->setGauge(obs::Gauge::ActiveWorkers, 0);
@@ -561,20 +483,8 @@ CheckResult ParallelExplorer::run() {
     auto MergeT0 = std::chrono::steady_clock::now();
     {
       CountLock();
-      std::lock_guard<std::mutex> Lock(SH.MergeM);
-      mergeSearchStats(SH.Total, LStats);
-      if (LProfile) {
-        if (!SH.Profile)
-          SH.Profile = LProfile;
-        else
-          SH.Profile->merge(*LProfile);
-      }
-      if (!LStates.empty())
-        SH.States.insert(LStates.begin(), LStates.end());
-      for (BugReport &I : LRaceIncidents)
-        if (I.Kind != Verdict::DataRace ||
-            SH.RaceKeys.insert(I.Message).second)
-          SH.RaceIncidents.push_back(std::move(I));
+      std::lock_guard<std::mutex> Lock(SH.TotalsM);
+      SH.Totals.merge(std::move(Local));
     }
     if (WCtr) {
       WCtr->add(obs::Counter::MergeNs,
@@ -588,30 +498,16 @@ CheckResult ParallelExplorer::run() {
 
   // Snapshot of the whole search for the checkpoint sink / resume: only
   // valid between epochs, when every worker has joined (and therefore
-  // merged its local buffers).
+  // merged its local totals).
   auto buildCheckpoint = [&]() {
-    auto CK = std::make_shared<CheckpointState>();
-    CK->Stats = SH.Total;
-    CK->Stats.TimedOut = CK->Stats.ExecutionCapHit =
-        CK->Stats.SearchExhausted = CK->Stats.Interrupted = false;
-    CK->Stats.Seconds = 0;
-    CK->Stats.DistinctStates = SH.States.size();
-    if (Opts.Races != RaceCheckMode::Off)
-      CK->Stats.RacesFound = (ResumeCK ? ResumeCK->Stats.RacesFound : 0) +
-                             SH.RaceKeys.size();
-    CK->Rng = Opts.Seed;
-    CK->States.assign(SH.States.begin(), SH.States.end());
-    std::sort(CK->States.begin(), CK->States.end());
-    CK->Frontier.reserve(SH.Stash.size());
+    std::vector<CheckpointUnit> Frontier;
+    Frontier.reserve(SH.Stash.size());
     for (const auto &P : SH.Stash)
-      CK->Frontier.push_back({P, P.size()});
-    if (SH.HasBug)
-      CK->Bug = SH.BestBug;
-    return CK;
+      Frontier.push_back({P, P.size()});
+    return SH.Totals.checkpoint(std::move(Frontier), Opts.Seed);
   };
 
-  bool Interrupted = false;
-  std::shared_ptr<CheckpointState> ResumeOut;
+  std::shared_ptr<CheckpointState> ResumeOut; // Set when interrupted.
   obs::WorkerCounters *DCtr = Opts.Obs ? &Opts.Obs->shard(0) : nullptr;
 
   for (;;) {
@@ -626,14 +522,12 @@ CheckResult ParallelExplorer::run() {
       break; // Search ended for real (drained, bug, cap, timeout).
     if (SH.StopAll.load(std::memory_order_relaxed))
       break; // A budget fired while the epoch wound down; it wins.
-    if (SH.HasBug && StopOnFirstBug)
+    if (SH.Totals.bug() && StopOnFirstBug)
       break;
 
     if (SH.InterruptSeen.load(std::memory_order_relaxed)) {
-      if (!SH.Stash.empty()) {
-        Interrupted = true;
+      if (!SH.Stash.empty())
         ResumeOut = buildCheckpoint();
-      }
       // Empty stash: the interrupt landed exactly on exhaustion.
       break;
     }
@@ -642,7 +536,7 @@ CheckResult ParallelExplorer::run() {
     // back and run the next epoch.
     if (SH.Stash.empty())
       break; // Boundary coincided with exhaustion; nothing left to save.
-    ++SH.Total.Checkpoints;
+    ++SH.Totals.stats().Checkpoints;
     if (DCtr)
       DCtr->add(obs::Counter::Checkpoints);
     Opts.CheckpointSink(*buildCheckpoint());
@@ -659,54 +553,10 @@ CheckResult ParallelExplorer::run() {
     SH.Injector.pushAll(std::move(Items));
   }
 
-  CheckResult Result;
-  Result.Stats = SH.Total;
-  Result.Profile = SH.Profile;
-  Result.Stats.DistinctStates = SH.States.size();
-  if (!SH.RaceIncidents.empty()) {
-    // Worker arrival order is nondeterministic; the messages are not (the
-    // execution multiset is), so sorting by message makes the incident
-    // list and its count deterministic across runs and job counts.
-    std::sort(SH.RaceIncidents.begin(), SH.RaceIncidents.end(),
-              [](const BugReport &A, const BugReport &B) {
-                return A.Message < B.Message;
-              });
-    Result.Incidents = std::move(SH.RaceIncidents);
-  }
-  // Per-worker RacesFound summed across workers overcounts shared races;
-  // the global key set is the true distinct count (plus any base from a
-  // resumed checkpoint, whose keys are no longer available).
-  if (Opts.Races != RaceCheckMode::Off) {
-    uint64_t Base = ResumeCK ? ResumeCK->Stats.RacesFound : 0;
-    Result.Stats.RacesFound = Base + SH.RaceKeys.size();
-  }
-  if (Opts.ExportStateSignatures) {
-    Result.StateSignatures.assign(SH.States.begin(), SH.States.end());
-    std::sort(Result.StateSignatures.begin(), Result.StateSignatures.end());
-  }
-  Result.Stats.ExecutionCapHit = SH.CapHit.load();
-  Result.Stats.TimedOut = SH.GlobalTimeout.load();
-  Result.Stats.Interrupted = Interrupted;
-  if (Interrupted)
-    Result.Resume = ResumeOut;
-  if (SH.HasBug) {
-    Result.Kind = SH.BestKind;
-    Result.Bug = std::move(SH.BestBug);
-  }
-  // Exhausted iff nothing cut the enumeration short: every subtree either
-  // ran dry or was pruned only by the first-bug rule (which mirrors the
-  // serial early stop, where the flag is also left clear).
-  Result.Stats.SearchExhausted = !Result.Stats.ExecutionCapHit &&
-                                 !Result.Stats.TimedOut && !Interrupted &&
-                                 !(SH.HasBug && StopOnFirstBug);
-  auto Elapsed = std::chrono::steady_clock::now() - Start;
-  Result.Stats.Seconds = std::chrono::duration<double>(Elapsed).count();
+  CheckResult Result = SH.Totals.finish(
+      SH.CapHit.load(), SH.GlobalTimeout.load(), ResumeOut != nullptr,
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
+          .count());
+  Result.Resume = ResumeOut;
   return Result;
-}
-
-CheckResult fsmc::checkParallel(const TestProgram &Program,
-                                const CheckerOptions &Opts, int Jobs) {
-  CheckerOptions E = Opts;
-  E.Jobs = Jobs;
-  return check(Program, E);
 }

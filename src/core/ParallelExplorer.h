@@ -15,22 +15,20 @@
 /// choice tree can be explored by whoever holds the prefix that reaches
 /// it. A work item is such a prefix; a worker replays it (the frozen
 /// prefix of Explorer::preloadSchedule), then runs the ordinary serial
-/// DFS strictly below it. Workers whose queue runs hungry receive
-/// donations: a busy worker carves the unexplored sibling alternatives
-/// off the *shallowest* record of its DFS stack -- the largest subtrees
-/// it owns -- and publishes them as new items (work stealing by
+/// DFS strictly below it. Each worker keeps its items on a private steal
+/// deque; a starving worker steals half of another's deque or asks a busy
+/// one to split, and the victim carves the unexplored sibling
+/// alternatives off the *shallowest* record of its DFS stack -- the
+/// largest subtrees it owns -- onto its deque (work stealing by
 /// splitting).
 ///
 /// The partition is exact -- every complete execution of the serial
-/// search runs on exactly one worker -- so the aggregated execution,
-/// transition and state-signature totals equal the serial run's, and the
-/// per-worker signature shards merge by plain set union. Under
-/// StopOnFirstBug the engine reports the *DFS-smallest* bug: candidate
-/// bugs are ordered by their choice sequence (first differing choice
-/// index decides), work that lies after the current best is pruned, and
-/// work before it keeps running until no earlier bug can exist. That
-/// tie-break makes `--jobs N` report the same counterexample as
-/// `--jobs 1`.
+/// search runs on exactly one worker -- so the totals merged in
+/// SearchTotals (core/SearchTotals.h) equal the serial run's. Under
+/// StopOnFirstBug the engine reports the *DFS-smallest* bug: work that
+/// lies after the current best is pruned, and work before it keeps
+/// running until no earlier bug can exist. That tie-break makes
+/// `--jobs N` report the same counterexample as `--jobs 1`.
 ///
 /// Random-walk search and stateful pruning depend on a global visit
 /// order, so runSearch (core/Checker.h) runs them on the serial explorer
@@ -43,45 +41,31 @@
 
 #include "core/Checker.h"
 
-#include <memory>
-
 namespace fsmc {
-
-struct CheckpointState;
 
 /// Drives one parallel checker run with Opts.Jobs workers.
 class ParallelExplorer {
 public:
   ParallelExplorer(const TestProgram &Program, const CheckerOptions &Opts);
-  ~ParallelExplorer();
-
-  /// Seeds the search from a checkpoint instead of the tree root: the
-  /// frontier units are sharded into fully frozen subtree prefixes
-  /// (decomposeUnitToFrozenPrefixes), and stats / coverage / the first
-  /// bug carry over so the combined run reports cumulative totals. Must
-  /// precede run().
-  void resumeFrom(const CheckpointState &CK);
 
   /// Runs the sharded search to completion (exhaustion, first bug, or a
-  /// shared budget) and returns the aggregated result. Honors
+  /// shared budget) and returns the aggregated result. With \p From it
+  /// continues that checkpoint instead of starting at the tree root: the
+  /// frontier units are sharded into fully frozen subtree prefixes
+  /// (decomposeUnitToFrozenPrefixes) and the totals start from it. Honors
   /// CheckerOptions::CheckpointEvery / InterruptFlag at epoch granularity:
   /// workers wind down at the next execution boundary, stash their
   /// unexplored remainders (splitWork over the whole stack), and the
   /// driver either writes a checkpoint and requeues the stash or returns
   /// with CheckResult::Resume.
-  CheckResult run();
+  CheckResult run(const CheckpointState *From = nullptr);
 
 private:
   struct Shared;
 
   const TestProgram &Program;
   CheckerOptions Opts;
-  std::shared_ptr<CheckpointState> ResumeCK;
 };
-
-/// Convenience entry point: check() with \p Jobs workers.
-CheckResult checkParallel(const TestProgram &Program,
-                          const CheckerOptions &Opts, int Jobs);
 
 } // namespace fsmc
 

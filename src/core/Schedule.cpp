@@ -99,6 +99,30 @@ bool fsmc::decodeSchedule(const std::string &Text,
   return true;
 }
 
+bool fsmc::dfsBefore(const std::vector<int> &A, const std::vector<int> &B) {
+  size_t N = A.size() < B.size() ? A.size() : B.size();
+  for (size_t I = 0; I < N; ++I)
+    if (A[I] != B[I])
+      return A[I] < B[I];
+  return A.size() < B.size();
+}
+
+std::vector<int> fsmc::pathKeyOfSchedule(const std::string &Schedule) {
+  std::vector<ScheduleChoice> Choices;
+  if (!decodeSchedule(Schedule, Choices))
+    return {};
+  return pathKeyOfPrefix(Choices);
+}
+
+std::vector<int>
+fsmc::pathKeyOfPrefix(const std::vector<ScheduleChoice> &Prefix) {
+  std::vector<int> Key;
+  Key.reserve(Prefix.size());
+  for (const ScheduleChoice &C : Prefix)
+    Key.push_back(C.Chosen);
+  return Key;
+}
+
 CheckResult fsmc::replaySchedule(const TestProgram &Program,
                                  const CheckerOptions &Opts,
                                  const std::string &Schedule) {

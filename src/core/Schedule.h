@@ -70,6 +70,19 @@ std::string encodeSchedule(const std::vector<ScheduleChoice> &Choices);
 bool decodeSchedule(const std::string &Text,
                     std::vector<ScheduleChoice> &Out);
 
+/// DFS order over choice paths (the Chosen values of a schedule): the
+/// first differing choice index decides and an ancestor precedes its
+/// extensions. Two distinct complete executions always differ at some
+/// consumed index, so this totally orders bugs; it is what makes every
+/// engine report the counterexample serial DFS finds first.
+bool dfsBefore(const std::vector<int> &A, const std::vector<int> &B);
+
+/// The DFS path key of an encoded schedule; empty if it does not parse.
+std::vector<int> pathKeyOfSchedule(const std::string &Schedule);
+
+/// The DFS path key of a choice prefix.
+std::vector<int> pathKeyOfPrefix(const std::vector<ScheduleChoice> &Prefix);
+
 /// Re-executes \p Program once under the recorded \p Schedule (typically
 /// BugReport::Schedule) and reports that single execution's outcome.
 /// The options must match the original run's semantics-affecting knobs

@@ -65,13 +65,3 @@ void WorkQueue::stop() {
   }
   CV.notify_all();
 }
-
-size_t WorkQueue::size() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Q.size();
-}
-
-size_t WorkQueue::freeSlots() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Q.size() >= Capacity ? 0 : Capacity - Q.size();
-}

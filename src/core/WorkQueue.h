@@ -53,11 +53,8 @@ struct WorkItem {
 
 class WorkQueue {
 public:
-  explicit WorkQueue(size_t Capacity) : Capacity(Capacity) {}
-
-  /// Enqueues \p Items and wakes every parked worker. The capacity is a
-  /// soft bound: seeding a resumed frontier wider than the queue must
-  /// not lose items, so pushes never block or drop.
+  /// Enqueues \p Items and wakes every parked worker. Pushes never block
+  /// or drop: a resumed frontier of any width seeds completely.
   void pushAll(std::vector<WorkItem> Items);
 
   /// Non-blocking pop; nullopt when empty or stopped.
@@ -77,12 +74,9 @@ public:
   /// Aborts the search: drops queued items and wakes every waiter.
   void stop();
 
-  size_t size() const;
   /// Lock-free depth probe for starving workers' rescan loops; may be
   /// stale by the time the caller acts.
   size_t approxSize() const { return Depth.load(std::memory_order_relaxed); }
-  /// Remaining soft capacity; donors size their splits by this.
-  size_t freeSlots() const;
 
   /// Publishes the queue depth to \p Ctr's WorkQueueDepth gauge after
   /// every mutation (the driver's shard; all writes happen under the
@@ -94,12 +88,11 @@ private:
   void publishDepth();
 
   obs::WorkerCounters *Ctr = nullptr;
-  mutable std::mutex M;
+  std::mutex M;
   std::condition_variable CV;
   std::deque<WorkItem> Q;
   /// Mirrors Q.size(); written under M, read without it.
   std::atomic<size_t> Depth{0};
-  size_t Capacity;
   bool Stopped = false;
 };
 

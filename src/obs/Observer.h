@@ -13,9 +13,8 @@
 ///
 /// Attachment is a single pointer on CheckerOptions (`Opts.Obs`); the
 /// checker never owns it. With no observer attached every hook in the
-/// engine is one null-pointer test -- the disabled path is guarded by the
-/// micro_scheduler bench (see docs/OBSERVABILITY.md for the measured
-/// overhead).
+/// engine is one null-pointer test -- the ledger's untraced passes run the
+/// disabled path (see docs/OBSERVABILITY.md for the measured overhead).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -19,6 +19,7 @@
 #include "runtime/Runtime.h"
 #include "sync/Atomic.h"
 #include "sync/TestThread.h"
+#include "workloads/SpinWait.h"
 #include "workloads/WorkStealQueue.h"
 #include "workloads/WorkloadRegistry.h"
 
@@ -103,6 +104,14 @@ TestProgram wsqBug1() {
   C.Stealers = 1;
   C.Tasks = 2;
   C.Bug = WsqBug::PopReordered;
+  return makeWsqProgram(C);
+}
+
+/// The bug-free WSQ (1 stealer, 2 tasks) that the cb=2 search exhausts.
+TestProgram wsqCorrect() {
+  WsqConfig C;
+  C.Stealers = 1;
+  C.Tasks = 2;
   return makeWsqProgram(C);
 }
 
@@ -270,6 +279,39 @@ TEST(MemoryModel, SandboxHarvestsFlushMaskSchedules) {
   EXPECT_EQ(Out.Bug->Message, In.Bug->Message);
   EXPECT_EQ(Out.Stats.Executions, In.Stats.Executions);
   EXPECT_TRUE(hasFlushRecords(Out.Bug->Schedule));
+}
+
+//===----------------------------------------------------------------------===
+// What tso costs: exact execution counts of exhaustive searches.
+//===----------------------------------------------------------------------===
+
+TEST(MemoryModel, SpinWaitCountIsTheSameUnderTso) {
+  // The setter's store is its thread's last action, and thread exit
+  // drains the buffer in the same step, so tso adds no schedule points.
+  for (MemoryModel M : {MemoryModel::Sc, MemoryModel::Tso}) {
+    CheckerOptions O = withMemory(M);
+    O.DetectDivergence = false;
+    CheckResult R = check(makeSpinWaitProgram({}), O);
+    EXPECT_EQ(R.Kind, Verdict::Pass) << memoryModelName(M);
+    EXPECT_TRUE(R.Stats.SearchExhausted) << memoryModelName(M);
+    EXPECT_EQ(R.Stats.Executions, 71u) << memoryModelName(M);
+  }
+}
+
+TEST(MemoryModel, WsqExhaustsIn1535ExecutionsUnderSc) {
+  CheckResult R = check(wsqCorrect(), wsqSearch(MemoryModel::Sc));
+  EXPECT_EQ(R.Kind, Verdict::Pass);
+  EXPECT_TRUE(R.Stats.SearchExhausted);
+  EXPECT_EQ(R.Stats.Executions, 1535u);
+}
+
+// The 50x blow-up over the sc count above. At 77409 executions this is
+// the suite's one test labelled slow (tests/CMakeLists.txt).
+TEST(MemoryModel, WsqExhaustsIn77409ExecutionsUnderTso) {
+  CheckResult R = check(wsqCorrect(), wsqSearch(MemoryModel::Tso));
+  EXPECT_EQ(R.Kind, Verdict::Pass);
+  EXPECT_TRUE(R.Stats.SearchExhausted);
+  EXPECT_EQ(R.Stats.Executions, 77409u);
 }
 
 //===----------------------------------------------------------------------===

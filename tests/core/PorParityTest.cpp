@@ -6,8 +6,8 @@
 // deduplicated bug/race set with POR on and off, while executing no more
 // schedules; the seeded-bug catalogue (dining deadlock, Peterson, WSQ,
 // crash-fault race) must additionally show a real reduction in
-// executions-to-first-bug, pinning the acceptance numbers recorded in
-// BENCH_6.json.
+// executions-to-first-bug, and two searches pin the reduction's exact
+// execution counts (PinnedReductionCounts below).
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +16,7 @@
 #include "workloads/CrashFault.h"
 #include "workloads/DiningPhilosophers.h"
 #include "workloads/Peterson.h"
+#include "workloads/SpinWait.h"
 #include "workloads/WorkStealQueue.h"
 #include "workloads/WorkloadRegistry.h"
 
@@ -139,7 +140,8 @@ std::vector<CatalogueEntry> seededBugCatalogue() {
 /// Fair context-bounded search (the configuration the workload suite's
 /// own bug goldens use: every catalogue bug is reachable within two
 /// preemptions) to the first bug; Stats.Executions is then the
-/// executions-to-first-bug count BENCH_6.json's por section reports.
+/// executions-to-first-bug count. PinnedReductionCounts pins the exact
+/// counts of the unbounded fair DFS.
 CheckResult firstBug(const CatalogueEntry &E, bool Por) {
   CheckerOptions O;
   O.Kind = SearchKind::ContextBounded;
@@ -176,4 +178,49 @@ TEST(PorParity, SeededBugCatalogueFindsEveryBugInFewerExecutions) {
   // The acceptance bar from the PR issue: at least a 2x schedule
   // reduction on at least two catalogue entries.
   EXPECT_GE(TwoFold, 2);
+}
+
+/// Exact execution counts of two searches with POR off and on: dining(3)
+/// deadlock-prone under the default fair DFS to the first bug, and the
+/// Figure 3 spin-wait searched exhaustively. The searches are
+/// deterministic, so any change to either count is a change to what the
+/// search or the reduction explores.
+TEST(PorParity, PinnedReductionCounts) {
+  struct Pin {
+    const char *Name;
+    std::function<TestProgram()> Make;
+    CheckerOptions Options;
+    Verdict Kind;
+    uint64_t ExecutionsOff;
+    uint64_t ExecutionsOn;
+  };
+  CheckerOptions FirstBug;
+  CheckerOptions Exhaustive;
+  Exhaustive.DetectDivergence = false;
+  const Pin Pins[] = {
+      {"dining3-deadlock-first-bug",
+       [] {
+         DiningConfig D;
+         D.Philosophers = 3;
+         D.Kind = DiningConfig::Variant::DeadlockProne;
+         return makeDiningProgram(D);
+       },
+       FirstBug, Verdict::Deadlock, 13141, 927},
+      {"spinwait-exhaustive", [] { return makeSpinWaitProgram({}); },
+       Exhaustive, Verdict::Pass, 71, 39},
+  };
+  for (const Pin &P : Pins) {
+    SCOPED_TRACE(P.Name);
+    for (bool Por : {false, true}) {
+      CheckerOptions O = P.Options;
+      O.Por = Por;
+      CheckResult R = check(P.Make(), O);
+      EXPECT_EQ(R.Kind, P.Kind) << "por=" << Por;
+      EXPECT_EQ(R.Stats.Executions, Por ? P.ExecutionsOn : P.ExecutionsOff)
+          << "por=" << Por;
+      if (P.Kind == Verdict::Pass) {
+        EXPECT_TRUE(R.Stats.SearchExhausted) << "por=" << Por;
+      }
+    }
+  }
 }

@@ -248,7 +248,8 @@ struct CheckerOptions {
   /// Use the fair scheduler (Algorithm 1). When false the demonic
   /// scheduler is unconstrained -- the pre-CHESS-fairness baseline.
   bool Fair = true;
-  /// Process every k-th yield (Section 3's parameterized algorithm).
+  /// Process every k-th yield (Section 3's parameterized algorithm);
+  /// must be ≥ 1.
   int YieldK = 1;
 
   SearchKind Kind = SearchKind::Dfs;

@@ -11,23 +11,38 @@ FairScheduler::FairScheduler(int YieldK) : YieldK(YieldK) {
 
 void FairScheduler::reset() {
   P.clear();
-  for (Tid U = 0; U < MaxThreads; ++U) {
-    // Lines 1-4 of Algorithm 1. D(u) = S(u) = Tid keeps the first yield of
-    // any thread from adding edges: H = (E ∪ D) \ S = ∅ when S is full.
-    S[U] = ThreadSet::all();
-    E[U] = ThreadSet();
-    D[U] = ThreadSet::all();
-    YieldSeen[U] = 0;
-  }
+  // Lines 1-4 of Algorithm 1. An unopened window stands for
+  // D(u) = S(u) = Tid, which keeps the first processed yield of any thread
+  // from adding edges: H = (E ∪ D) \ S = ∅ when S is full.
+  Now = 0;
+  LastES = ThreadSet();
+  LastRun.fill(0);
+  EnabledSince.fill(0);
+  WindowOpen.fill(0);
+  D.fill(ThreadSet::all());
+  YieldSeen.fill(0);
   EdgeAdds = 0;
   EdgeRemovals = 0;
 }
 
-ThreadSet FairScheduler::allowed(ThreadSet ES) const {
-  ThreadSet T = ES - P.pre(ES);
-  assert((T.empty() == ES.empty()) &&
-         "Theorem 3 violated: schedulable set empty on nonempty ES");
-  return T;
+ThreadSet FairScheduler::scheduledSince(Tid U) const {
+  if (WindowOpen[U] == 0)
+    return ThreadSet::all();
+  ThreadSet S;
+  for (Tid X = 0; X < MaxThreads; ++X)
+    if (LastRun[X] > WindowOpen[U])
+      S.insert(X);
+  return S;
+}
+
+ThreadSet FairScheduler::continuouslyEnabledSince(Tid U) const {
+  if (WindowOpen[U] == 0)
+    return ThreadSet();
+  ThreadSet E;
+  for (Tid X : LastES)
+    if (EnabledSince[X] <= WindowOpen[U])
+      E.insert(X);
+  return E;
 }
 
 void FairScheduler::onTransition(Tid T, ThreadSet ESBefore, ThreadSet ESAfter,
@@ -38,11 +53,15 @@ void FairScheduler::onTransition(Tid T, ThreadSet ESBefore, ThreadSet ESAfter,
   // obligation other threads had towards it.
   EdgeRemovals += uint64_t(P.removeEdgesInto(T));
 
-  // Lines 14-22: update the per-thread window predicates.
-  for (Tid U = 0; U < MaxThreads; ++U) {
-    E[U] &= ESAfter;       // line 15: still continuously enabled
-    S[U].insert(T);        // line 21: t has now been scheduled
-  }
+  // Lines 14-22, as stamps. Line 21 (t ∈ S(u) for every u) is t's run
+  // stamp; line 15 (E(u) &= ESAfter for every u) is a new enabled run for
+  // each thread that just entered ESAfter -- a thread that left it drops
+  // out of every E(u) because E(u) ⊆ LastES.
+  ++Now;
+  LastRun[T] = Now;
+  for (Tid X : ESAfter - LastES)
+    EnabledSince[X] = Now;
+  LastES = ESAfter;
   D[T] |= (ESBefore - ESAfter); // line 17: t disabled these threads
 
   if (!WasYield)
@@ -54,17 +73,22 @@ void FairScheduler::onTransition(Tid T, ThreadSet ESBefore, ThreadSet ESAfter,
     return;
 
   // Line 24: H contains the threads never scheduled in t's closing window
-  // that were continuously enabled, or disabled by t, during it.
-  ThreadSet H = (E[T] | D[T]) - S[T];
-  assert(!H.contains(T) && "line 21 guarantees t ∈ S(t), so t ∉ H");
+  // that were continuously enabled, or disabled by t, during it. An
+  // unopened window has S(t) = Tid, so H = ∅.
+  if (WindowOpen[T] != 0) {
+    ThreadSet H;
+    for (Tid X : continuouslyEnabledSince(T) | D[T])
+      if (LastRun[X] <= WindowOpen[T])
+        H.insert(X);
+    assert(!H.contains(T) && "line 21 guarantees t ∈ S(t), so t ∉ H");
 
-  // Line 25: demote t below every starved thread in H.
-  P.addEdgesFrom(T, H);
-  EdgeAdds += uint64_t(H.size());
-  assert(P.isAcyclic() && "Theorem 3 loop invariant violated");
+    // Line 25: demote t below every starved thread in H.
+    P.addEdgesFrom(T, H);
+    EdgeAdds += uint64_t(H.size());
+    assert(P.isAcyclic() && "Theorem 3 loop invariant violated");
+  }
 
   // Lines 26-28: open a new window for t.
-  E[T] = ESAfter;
+  WindowOpen[T] = Now;
   D[T] = ThreadSet();
-  S[T] = ThreadSet();
 }

@@ -4,30 +4,6 @@
 
 using namespace fsmc;
 
-ThreadSet PriorityGraph::pre(ThreadSet X) const {
-  ThreadSet Result;
-  for (Tid T = 0; T < MaxThreads; ++T)
-    if (Succ[T].intersects(X))
-      Result.insert(T);
-  return Result;
-}
-
-int PriorityGraph::removeEdgesInto(Tid T) {
-  assert(validTid(T) && "tid out of range");
-  int Removed = 0;
-  for (auto &S : Succ) {
-    Removed += S.contains(T);
-    S.erase(T);
-  }
-  return Removed;
-}
-
-void PriorityGraph::addEdgesFrom(Tid From, ThreadSet Sinks) {
-  assert(validTid(From) && "tid out of range");
-  assert(!Sinks.contains(From) && "self-edge would create a cycle");
-  Succ[From] |= Sinks;
-}
-
 bool PriorityGraph::isAcyclic() const {
   // Kahn's algorithm over the ≤64-node graph: repeatedly remove nodes with
   // no incoming edge from the remaining subgraph.
@@ -74,6 +50,6 @@ int PriorityGraph::edgeCount() const {
 }
 
 void PriorityGraph::clear() {
-  for (auto &S : Succ)
-    S.clear();
+  Succ = {};
+  Pred = {};
 }

@@ -52,10 +52,11 @@ void ProgressReporter::stop() {
     Th.join();
 }
 
-std::string ProgressReporter::formatLine(double ElapsedSeconds,
-                                         uint64_t Execs, uint64_t Trans,
-                                         double ExecRate) const {
-  CounterSnapshot S = Obs.snapshot();
+std::string obs::formatProgressLine(const ProgressReporter::Config &Cfg,
+                                    const CounterSnapshot &S,
+                                    double ElapsedSeconds, double ExecRate) {
+  uint64_t Execs = S.counter(Counter::Executions);
+  uint64_t Trans = S.counter(Counter::Transitions);
   // Two rates: the delta rate of the last window (spiky, shows stalls)
   // and the cumulative average since the search began (what stats-json's
   // timing block reports as execs_per_sec); elapsed_ms gives tooling a
@@ -71,6 +72,15 @@ std::string ProgressReporter::formatLine(double ElapsedSeconds,
   std::string Line = Head;
   Line += " depth=" + std::to_string(S.gauge(Gauge::MaxDepth));
   Line += " edges=" + compactCount(S.counter(Counter::FairEdgeAdds));
+  // The stateless method's tax: the share of transitions spent replaying
+  // recorded prefixes. Shown only once there is replay, so searches that
+  // never replay keep the historical line shape.
+  if (uint64_t Replay = S.counter(Counter::ReplaySteps); Replay && Trans) {
+    char Buf[32];
+    std::snprintf(Buf, sizeof(Buf), " replay=%.0f%%",
+                  100.0 * double(Replay) / double(Trans));
+    Line += Buf;
+  }
   // POR activity, shown only when the reduction is doing work so the
   // non-POR progress line keeps its historical shape.
   uint64_t PorHits = S.counter(Counter::PorSleepHits);
@@ -168,8 +178,7 @@ void ProgressReporter::run() {
     double Rate = T > PrevT ? double(Execs - PrevExecs) / (T - PrevT) : 0;
     // Compose the whole line first: one write() call is atomic against
     // the main thread's summary output.
-    std::string Line =
-        formatLine(T, Execs, S.counter(Counter::Transitions), Rate);
+    std::string Line = formatProgressLine(Cfg, S, T, Rate);
     OS.write(Line.data(), Line.size());
     OS.flush();
     PrevExecs = Execs;

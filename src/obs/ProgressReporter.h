@@ -11,11 +11,12 @@
 /// search is not a black box until it returns:
 ///
 ///   [fsmc 12.0s] elapsed_ms=12000 exec=48210 (4012/s, avg 3900/s)
-///       trans=1.2M depth=37 edges=880 queue=3 workers=4 eta=88s
+///       trans=1.2M depth=37 edges=880 replay=64% queue=3 workers=4 eta=88s
 ///
 /// The parenthesized rate pair is the last window's delta rate followed
 /// by the cumulative average (executions / elapsed -- the same
-/// execs_per_sec the stats-json timing block reports); the ETA is
+/// execs_per_sec the stats-json timing block reports); replay is the
+/// share of transitions spent re-running recorded prefixes; the ETA is
 /// against whichever budget (time or executions) binds first. Each line
 /// is composed fully before a single atomic write, so progress never
 /// shears with a bug report being printed on stdout (see OutStream).
@@ -29,6 +30,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <string>
 #include <thread>
 
 namespace fsmc {
@@ -38,6 +40,7 @@ class OutStream;
 namespace obs {
 
 class Observer;
+struct CounterSnapshot;
 
 class ProgressReporter {
 public:
@@ -68,8 +71,6 @@ public:
 
 private:
   void run();
-  std::string formatLine(double ElapsedSeconds, uint64_t Execs,
-                         uint64_t Trans, double ExecRate) const;
 
   const Observer &Obs;
   Config Cfg;
@@ -84,6 +85,16 @@ private:
   bool Stopping = false;
   std::thread Th;
 };
+
+/// Composes one status line, newline included, from the counters \p S
+/// taken \p ElapsedSeconds into the search. \p ExecRate is the last
+/// window's executions per second. Optional fields (POR, fleet recovery,
+/// replay share, workers, ETA, estimate) appear only when \p Cfg or \p S
+/// gives them something to say, so a line without them keeps the
+/// historical shape.
+std::string formatProgressLine(const ProgressReporter::Config &Cfg,
+                               const CounterSnapshot &S,
+                               double ElapsedSeconds, double ExecRate);
 
 } // namespace obs
 } // namespace fsmc

@@ -121,5 +121,41 @@ TEST_P(PriorityGraphPropertyTest, AcyclicImpliesMaximalElement) {
   }
 }
 
+/// Property: the transposed rows stay in step with the successor rows.
+/// After random edge additions, line-13 removals and clears, pre(X) must
+/// equal a brute-force scan of successorsOf, and the edge count must
+/// match removeEdgesInto's return values.
+TEST_P(PriorityGraphPropertyTest, PreMatchesSuccessorScan) {
+  Xorshift Rng(GetParam());
+  PriorityGraph P;
+  int Edges = 0;
+  for (int Op = 0; Op < 4000; ++Op) {
+    int Kind = Rng.nextBelow(100);
+    if (Kind < 55) {
+      Tid From = Rng.nextBelow(MaxThreads);
+      ThreadSet Sinks;
+      for (int I = 0, N = Rng.nextBelow(6); I < N; ++I)
+        Sinks.insert(Rng.nextBelow(MaxThreads));
+      Sinks.erase(From);
+      Edges += (Sinks - P.successorsOf(From)).size();
+      P.addEdgesFrom(From, Sinks);
+    } else if (Kind < 99) {
+      Edges -= P.removeEdgesInto(Rng.nextBelow(MaxThreads));
+    } else {
+      P.clear();
+      Edges = 0;
+    }
+    ASSERT_EQ(P.edgeCount(), Edges);
+    ThreadSet X;
+    for (int I = 0, N = Rng.nextBelow(12); I < N; ++I)
+      X.insert(Rng.nextBelow(MaxThreads));
+    ThreadSet Brute;
+    for (Tid T = 0; T < MaxThreads; ++T)
+      if (P.successorsOf(T).intersects(X))
+        Brute.insert(T);
+    ASSERT_EQ(P.pre(X), Brute) << "X = " << X.str();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PriorityGraphPropertyTest,
                          ::testing::Values(11, 22, 33, 44, 55));

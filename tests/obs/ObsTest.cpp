@@ -13,6 +13,7 @@
 #include "obs/Counters.h"
 #include "obs/EventSink.h"
 #include "obs/Observer.h"
+#include "obs/ProgressReporter.h"
 #include "obs/StatsJson.h"
 #include "obs/TraceValidate.h"
 #include "workloads/WorkStealQueue.h"
@@ -103,6 +104,63 @@ TEST(Counters, WireNamesAreStable) {
     EXPECT_GT(std::string(counterName(Counter(I))).size(), 0u);
   for (unsigned I = 0; I < unsigned(Gauge::NumGauges); ++I)
     EXPECT_GT(std::string(gaugeName(Gauge(I))).size(), 0u);
+}
+
+//===----------------------------------------------------------------------===
+// Progress line.
+//===----------------------------------------------------------------------===
+
+namespace {
+CounterSnapshot progressSnapshot(uint64_t Execs, uint64_t Trans,
+                                 uint64_t Replay) {
+  CounterSnapshot S;
+  S.C[size_t(Counter::Executions)] = Execs;
+  S.C[size_t(Counter::Transitions)] = Trans;
+  S.C[size_t(Counter::ReplaySteps)] = Replay;
+  S.C[size_t(Counter::FairEdgeAdds)] = 880;
+  S.G[size_t(Gauge::MaxDepth)] = 37;
+  return S;
+}
+} // namespace
+
+TEST(ProgressLine, HistoricalShapeWithoutReplay) {
+  ProgressReporter::Config Cfg;
+  std::string Line = formatProgressLine(Cfg, progressSnapshot(48210, 90000, 0),
+                                        12.0, 4012.0);
+  EXPECT_EQ(Line, "[fsmc 12.0s] elapsed_ms=12000 exec=48210 (4012/s, avg "
+                  "4018/s) trans=90000 depth=37 edges=880\n");
+}
+
+TEST(ProgressLine, ReplayShareOfTransitions) {
+  ProgressReporter::Config Cfg;
+  std::string Line = formatProgressLine(
+      Cfg, progressSnapshot(100, 20'000'000, 19'400'000), 2.0, 50.0);
+  EXPECT_NE(Line.find(" trans=20.0M depth=37 edges=880 replay=97%\n"),
+            std::string::npos)
+      << Line;
+  // A sliver of replay still shows, rounded.
+  Line = formatProgressLine(Cfg, progressSnapshot(100, 1000, 4), 2.0, 50.0);
+  EXPECT_NE(Line.find(" replay=0%\n"), std::string::npos) << Line;
+}
+
+TEST(ProgressLine, EtaUnknownWithoutARate) {
+  ProgressReporter::Config Cfg;
+  Cfg.MaxExecutions = 1000;
+  // An execution cap with no usable rate yet prints `eta=?`, never inf.
+  std::string Line =
+      formatProgressLine(Cfg, progressSnapshot(0, 0, 0), 0.5, 0.0);
+  EXPECT_NE(Line.find(" eta=?\n"), std::string::npos) << Line;
+  // With a rate the cap gives a number: 900 left at 100/s.
+  Line = formatProgressLine(Cfg, progressSnapshot(100, 500, 0), 1.0, 100.0);
+  EXPECT_NE(Line.find(" eta=9s\n"), std::string::npos) << Line;
+  // A time budget binds when it is sooner.
+  Cfg.TimeBudgetSeconds = 5;
+  Line = formatProgressLine(Cfg, progressSnapshot(100, 500, 0), 1.0, 100.0);
+  EXPECT_NE(Line.find(" eta=4s\n"), std::string::npos) << Line;
+  // No budget, no eta field at all.
+  Line = formatProgressLine(ProgressReporter::Config(),
+                            progressSnapshot(100, 500, 0), 1.0, 100.0);
+  EXPECT_EQ(Line.find("eta="), std::string::npos) << Line;
 }
 
 //===----------------------------------------------------------------------===

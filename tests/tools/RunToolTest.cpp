@@ -438,6 +438,18 @@ TEST_F(RunTool, FleetUsageErrorsExitTwo) {
   EXPECT_EQ(run({"--program=peterson", "--fleet=2", "--random"}), 2);
 }
 
+TEST_F(RunTool, YieldKBelowOneIsAUsageError) {
+  // A zero or unparsable k used to divide by zero in the scheduler, and a
+  // negative one wrapped to 2^32-1 and switched fairness off.
+  EXPECT_EQ(run({"--program=peterson", "--cb=1", "--yieldk=0"}), 2);
+  EXPECT_EQ(run({"--program=peterson", "--cb=1", "--yieldk=-1"}), 2);
+  EXPECT_EQ(run({"--program=peterson", "--cb=1", "--yieldk=abc"}), 2);
+  EXPECT_EQ(run({"--program=peterson", "--cb=1", "--yieldk=2x"}), 2);
+  EXPECT_EQ(run({"--program=peterson", "--cb=1", "--yieldk"}), 2);
+  EXPECT_EQ(run({"--program=peterson", "--cb=1", "--yieldk=2", "--quiet"}),
+            0);
+}
+
 TEST_F(RunTool, SigtermMidFleetDrainsCheckpointAndResumes) {
   // The ISSUE's robustness contract at both supervised widths: SIGTERM
   // mid-search exits 5 after draining every outstanding lease into one

@@ -55,6 +55,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -214,7 +215,7 @@ int usage() {
             "  --jobs=N         parallel search with N worker threads\n"
             "  --seconds=S      time budget\n"
             "  --seed=N         PRNG seed\n"
-            "  --yieldk=N       process every k-th yield\n"
+            "  --yieldk=N       process every k-th yield (N >= 1)\n"
             "  --por=on|off     sleep-set partial-order reduction "
             "(docs/POR.md;\n"
             "                   default off)\n"
@@ -615,9 +616,18 @@ int main(int Argc, char **Argv) {
     else if (parseFlag(Argv[I], "--seed", &V)) {
       Opts.Seed = std::strtoull(V, nullptr, 10);
       SeedSet = true;
-    } else if (parseFlag(Argv[I], "--yieldk", &V))
-      Opts.YieldK = std::atoi(V);
-    else if (parseFlag(Argv[I], "--por", &V)) {
+    } else if (parseFlag(Argv[I], "--yieldk", &V)) {
+      // Strict parse: atoi would map "abc" to 0 (a division by zero in
+      // the scheduler) and "-1" wraps to 2^32-1 inside it, which silently
+      // switches fairness off.
+      char *End = nullptr;
+      long K = std::strtol(V, &End, 10);
+      if (End == V || *End != '\0' || K < 1 || K > INT_MAX) {
+        errs() << "--yieldk must be an integer >= 1\n";
+        return usage();
+      }
+      Opts.YieldK = int(K);
+    } else if (parseFlag(Argv[I], "--por", &V)) {
       if (*V == '\0' || std::strcmp(V, "on") == 0)
         Opts.Por = true;
       else if (std::strcmp(V, "off") == 0)

@@ -12,10 +12,13 @@
 
 using namespace fsmc;
 
+// Version 4 changed the state hash (support/Hashing.h), so the coverage
+// signatures a file stores are only comparable with the same version's.
 // Version 3 added the weak-memory stat keys and flush-mask suffixes inside
 // unit schedules (core/Schedule.h); version 2 the POR stat keys and
 // sleep-mask suffixes. Older versions are no longer read.
-static const char *CheckpointMagic = "fsmc-ckpt 3";
+static const char *CheckpointMagic = "fsmc-ckpt 4";
+static const char *PreHashMagic = "fsmc-ckpt 3";
 
 namespace {
 
@@ -195,7 +198,15 @@ bool fsmc::decodeCheckpoint(const std::string &Text, CheckpointState &CK,
   Seed = 0;
   std::istringstream IS(Text);
   std::string Line;
-  if (!std::getline(IS, Line) || Line != CheckpointMagic) {
+  bool HaveLine = bool(std::getline(IS, Line));
+  if (HaveLine && Line == PreHashMagic) {
+    // Resuming would mix two signature spaces and overcount
+    // distinct states.
+    Err = "checkpoint format 3 predates the current state hash; re-run "
+          "the search";
+    return false;
+  }
+  if (!HaveLine || Line != CheckpointMagic) {
     Err = "not a checkpoint file (missing '" + std::string(CheckpointMagic) +
           "' header)";
     return false;

@@ -73,7 +73,7 @@ struct CheckpointState {
 std::vector<std::vector<ScheduleChoice>>
 decomposeUnitToFrozenPrefixes(const CheckpointUnit &U);
 
-/// Stable text encoding, version tag "fsmc-ckpt 3". Every nonzero stat
+/// Stable text encoding, version tag "fsmc-ckpt 4". Every nonzero stat
 /// row that accumulates across run parts (FSMC_SEARCH_STATS rows not
 /// merged as StatMerge::Run) is written; absent stat keys read as zero.
 /// \p Program and \p Seed identify the run; resume refuses a mismatched

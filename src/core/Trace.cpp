@@ -58,11 +58,10 @@ void Trace::print(OutStream &OS, const Runtime &RT, size_t MaxEvents) const {
 }
 
 uint64_t Trace::digest() const {
-  Fnv1a H;
+  WordHasher H;
   for (const TraceEvent &E : Events) {
     H.addU64(uint64_t(E.Thread));
-    H.addByte(uint8_t(E.Kind));
-    H.addU64(uint64_t(E.ObjectId) + 1);
+    H.addU64(uint64_t(E.Kind) << 32 | uint32_t(E.ObjectId));
   }
   return H.digest();
 }

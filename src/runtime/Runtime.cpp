@@ -417,21 +417,22 @@ void Runtime::setStateExtractor(std::function<uint64_t()> Fn) {
 }
 
 uint64_t Runtime::stateSignature() const {
-  Fnv1a H;
+  WordHasher H;
   H.addU64(StateExtractor ? StateExtractor() : 0);
   for (size_t I = 0; I < NumThreads; ++I) {
     const auto &TS = Threads[I];
     if (TS->FinishedFlag) {
+      // Bits above 40 are never set in a packed op word below.
       H.addU64(0xf1f1f1f1f1f1f1f1ULL);
       continue;
     }
-    H.addByte(uint8_t(TS->Pending.Kind));
-    H.addU64(uint64_t(TS->Pending.ObjectId) + 1);
+    H.addU64(uint64_t(TS->Pending.Kind) << 32 |
+             uint32_t(TS->Pending.ObjectId));
     H.addU64(uint64_t(TS->Pending.Aux));
     H.addU64(TS->Annotation);
     // Buffer contents are program state under weak memory: two points
     // that differ only in pending stores must not collapse to one
-    // signature. Gated so sc digests stay byte-identical.
+    // signature. Gated so sc searches do not pay for the empty buffers.
     if (Opts.Memory != MemoryModel::Sc) {
       H.addU64(TS->Buffer.size());
       for (const BufferedStore &E : TS->Buffer) {

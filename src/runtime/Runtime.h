@@ -74,8 +74,8 @@ class Runtime {
 public:
   struct Options {
     size_t StackBytes = Fiber::DefaultStackBytes;
-    /// Maximum trace length retained (0 = unlimited). Long diverging
-    /// executions keep only a suffix-relevant window via the explorer.
+    /// Count schedule points in syncOpCount(), which numbers the steps
+    /// of race reports and buffered stores.
     bool CountOps = true;
     /// Observability shard of the worker driving this execution, or null.
     /// When set, schedulePoint and the sync primitives' contention

@@ -35,11 +35,9 @@ class StateBuilder {
 public:
   void addU64(uint64_t V) { Hash.addU64(V); }
   void addI64(int64_t V) { Hash.addU64(uint64_t(V)); }
-  void addBool(bool B) { Hash.addByte(B ? 1 : 0); }
-  void addString(std::string_view S) {
-    Hash.addU64(S.size());
-    Hash.addString(S);
-  }
+  void addBool(bool B) { Hash.addBool(B); }
+  /// Length-prefixed, so "ab"+"c" and "a"+"bc" differ.
+  void addString(std::string_view S) { Hash.addString(S); }
 
   /// Adds a pointer by canonical first-visit name, not raw address.
   void addPointer(const void *P) { Hash.addU64(Canon.idOf(P)); }
@@ -53,7 +51,7 @@ public:
   uint64_t digest() const { return Hash.digest(); }
 
 private:
-  Fnv1a Hash;
+  WordHasher Hash;
   HeapCanonicalizer Canon;
 };
 

@@ -235,15 +235,21 @@ TEST(Checkpoint, DecodeRejectsGarbage) {
     EXPECT_FALSE(decodeCheckpoint(Old, CK, Program, Seed, Err)) << Old;
     EXPECT_NE(Err.find("not a checkpoint file"), std::string::npos) << Err;
   }
+  // Version 3 signatures come from the previous state hash.
+  Err.clear();
+  EXPECT_FALSE(
+      decodeCheckpoint("fsmc-ckpt 3\nend\n", CK, Program, Seed, Err));
+  EXPECT_NE(Err.find("predates the current state hash"), std::string::npos)
+      << Err;
   // A damaged value is rejected whether or not the key is known.
   for (const char *Bad :
-       {"fsmc-ckpt 3\nstat executions 12x\nend\n",
-        "fsmc-ckpt 3\nstat executions -1\nend\n",
-        "fsmc-ckpt 3\nstat some_future_stat x\nend\n",
-        "fsmc-ckpt 3\nstatf estimate_mass 0x1p-2q\nend\n",
-        "fsmc-ckpt 3\nstat executions\nend\n"})
+       {"fsmc-ckpt 4\nstat executions 12x\nend\n",
+        "fsmc-ckpt 4\nstat executions -1\nend\n",
+        "fsmc-ckpt 4\nstat some_future_stat x\nend\n",
+        "fsmc-ckpt 4\nstatf estimate_mass 0x1p-2q\nend\n",
+        "fsmc-ckpt 4\nstat executions\nend\n"})
     EXPECT_FALSE(decodeCheckpoint(Bad, CK, Program, Seed, Err)) << Bad;
-  EXPECT_TRUE(decodeCheckpoint("fsmc-ckpt 3\nstat some_future_stat 7\n"
+  EXPECT_TRUE(decodeCheckpoint("fsmc-ckpt 4\nstat some_future_stat 7\n"
                                "statf some_future_mass 0x1p-2\nend\n",
                                CK, Program, Seed, Err))
       << Err;

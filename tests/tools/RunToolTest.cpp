@@ -88,11 +88,12 @@ int run(const std::vector<std::string> &Args) {
   return runBin(runBinary(), Args);
 }
 
-/// Like run(), but captures the child's stdout into \p Out (for --explain
-/// and other reports that print to the terminal rather than a file).
+/// Like run(), but captures the child's stdout (or, with \p Fd = 2, its
+/// stderr) into \p Out, for --explain and other reports that print to the
+/// terminal rather than a file, and for diagnostics.
 int runCapture(const std::vector<std::string> &Args, const std::string &Dir,
-               std::string &Out) {
-  std::string Path = Dir + "/stdout.txt";
+               std::string &Out, int Fd = 1) {
+  std::string Path = Dir + "/captured.txt";
   pid_t Pid = fork();
   if (Pid < 0)
     return -2;
@@ -100,9 +101,9 @@ int runCapture(const std::vector<std::string> &Args, const std::string &Dir,
     FILE *F = std::fopen(Path.c_str(), "w");
     FILE *Null = std::fopen("/dev/null", "w");
     if (F)
-      dup2(fileno(F), 1);
+      dup2(fileno(F), Fd);
     if (Null)
-      dup2(fileno(Null), 2);
+      dup2(fileno(Null), 3 - Fd);
     std::vector<char *> Argv;
     std::string Bin = runBinary();
     Argv.push_back(Bin.data());
@@ -186,7 +187,7 @@ TEST_F(RunTool, SigintWritesCheckpointAndHonestStats) {
   EXPECT_EQ(WEXITSTATUS(Status), 5);
 
   std::string CkptText = slurp(Ckpt);
-  EXPECT_TRUE(contains(CkptText, "fsmc-ckpt 3")) << CkptText.substr(0, 80);
+  EXPECT_TRUE(contains(CkptText, "fsmc-ckpt 4")) << CkptText.substr(0, 80);
   EXPECT_TRUE(contains(CkptText, "program peterson"));
 
   std::string Json = slurp(Stats);
@@ -225,7 +226,7 @@ TEST_F(RunTool, SigintPorRunCheckpointsAndResumes) {
   EXPECT_EQ(WEXITSTATUS(Status), 5);
 
   std::string CkptText = slurp(Ckpt);
-  EXPECT_TRUE(contains(CkptText, "fsmc-ckpt 3")) << CkptText.substr(0, 80);
+  EXPECT_TRUE(contains(CkptText, "fsmc-ckpt 4")) << CkptText.substr(0, 80);
   EXPECT_TRUE(contains(CkptText, "program dryad-fifo"));
   EXPECT_TRUE(contains(CkptText, "stat por_sleep_hits"));
 
@@ -274,7 +275,7 @@ TEST_F(RunTool, PeriodicCheckpointsAppearDuringTheRun) {
                  "--checkpoint=" + Ckpt, "--checkpoint-every=30",
                  "--stats-json=" + Stats, "--quiet"}),
             0);
-  EXPECT_TRUE(contains(slurp(Ckpt), "fsmc-ckpt 3"));
+  EXPECT_TRUE(contains(slurp(Ckpt), "fsmc-ckpt 4"));
   EXPECT_TRUE(contains(slurp(Stats), "\"checkpoints\": 3"));
 }
 
@@ -450,6 +451,31 @@ TEST_F(RunTool, YieldKBelowOneIsAUsageError) {
             0);
 }
 
+TEST_F(RunTool, NumericFlagsParseStrictly) {
+  // Every numeric flag rejects a trailing suffix, a sign or value out of
+  // range, and text. The program name is unknown, so even a value the
+  // parser wrongly accepted would stop at the program lookup: no search
+  // and no worker starts. The flag's own diagnostic tells the two apart.
+  const std::vector<std::string> Bad = {
+      "--jobs=4x",          "--jobs=0",           "--jobs=257",
+      "--fleet=257",        "--fleet=-1",         "--cb=-1",
+      "--cb=abc",           "--iterative=-2",     "--depth=1e3",
+      "--bound=-5",         "--executions=10k",   "--fleet-batch=0",
+      "--fleet-quarantine=x", "--batch-size=2.5", "--divergence-retries=-1",
+      "--checkpoint-every=0x10", "--seed=-1",     "--seed=",
+      "--seconds=abc",      "--seconds=-1",       "--seconds=inf",
+      "--hang-timeout=0",   "--progress=abc",     "--yieldk=99999999999"};
+  for (const std::string &Arg : Bad) {
+    std::string Err;
+    EXPECT_EQ(runCapture({"--program=no-such-program", Arg}, Dir, Err,
+                         /*Fd=*/2),
+              2)
+        << Arg;
+    std::string Flag = Arg.substr(0, Arg.find('='));
+    EXPECT_TRUE(contains(Err, Flag + " must be")) << Arg << ": " << Err;
+  }
+}
+
 TEST_F(RunTool, SigtermMidFleetDrainsCheckpointAndResumes) {
   // The ISSUE's robustness contract at both supervised widths: SIGTERM
   // mid-search exits 5 after draining every outstanding lease into one
@@ -472,7 +498,7 @@ TEST_F(RunTool, SigtermMidFleetDrainsCheckpointAndResumes) {
     EXPECT_EQ(WEXITSTATUS(Status), 5);
 
     std::string CkptText = slurp(Ckpt);
-    EXPECT_TRUE(contains(CkptText, "fsmc-ckpt 3")) << CkptText.substr(0, 80);
+    EXPECT_TRUE(contains(CkptText, "fsmc-ckpt 4")) << CkptText.substr(0, 80);
     EXPECT_TRUE(contains(CkptText, "program peterson"));
     std::string Json = slurp(Stats);
     EXPECT_TRUE(contains(Json, "\"stop_reason\": \"interrupted\"")) << Json;
@@ -569,7 +595,7 @@ TEST_F(RunTool, CorruptCheckpointExitsEightEverywhere) {
                  "--quiet"}),
             0);
   std::string Good = slurp(Ckpt);
-  ASSERT_TRUE(contains(Good, "fsmc-ckpt 3"));
+  ASSERT_TRUE(contains(Good, "fsmc-ckpt 4"));
   ASSERT_EQ(run({"--resume=" + Ckpt, "--cb=1", "--quiet"}), 0)
       << "the intact checkpoint must resume before we corrupt copies";
 
@@ -605,14 +631,37 @@ TEST_F(RunTool, CorruptCheckpointExitsEightEverywhere) {
     EXPECT_EQ(run({"--resume=" + Bad, "--cb=1", "--quiet"}), 8)
         << From << " -> " << To;
   };
-  mutate("fsmc-ckpt 3", "fsmc-ckpt 9");            // unknown version
-  mutate("fsmc-ckpt 3", "fsmc-ckpt 2");            // retired versions
-  mutate("fsmc-ckpt 3", "fsmc-ckpt 1");
+  mutate("fsmc-ckpt 4", "fsmc-ckpt 9");            // unknown version
+  mutate("fsmc-ckpt 4", "fsmc-ckpt 2");            // retired versions
+  mutate("fsmc-ckpt 4", "fsmc-ckpt 1");
   mutate("seed ", "seed garbage-");                // unparseable seed
   mutate("stat executions ", "stat executions x"); // unparseable stat
   mutate("\nend\n", "\n");                         // missing end marker
 
   EXPECT_EQ(run({"--resume=" + Dir + "/does-not-exist.ckpt"}), 2);
+}
+
+TEST_F(RunTool, FormatThreeCheckpointIsRejectedAsPredatingTheHash) {
+  // Format 3 stored coverage signatures from the previous state hash;
+  // resuming one would mix two signature spaces and overcount distinct
+  // states, so it fails with its own diagnostic and the corrupt-file
+  // exit code.
+  std::string Ckpt = Dir + "/v4.ckpt";
+  ASSERT_EQ(run({"--program=peterson", "--cb=1", "--executions=30",
+                 "--coverage", "--checkpoint=" + Ckpt,
+                 "--checkpoint-every=10", "--quiet"}),
+            0);
+  std::string Text = slurp(Ckpt);
+  ASSERT_EQ(Text.rfind("fsmc-ckpt 4\n", 0), 0u) << Text.substr(0, 80);
+  Text.replace(0, 11, "fsmc-ckpt 3");
+  std::string Old = Dir + "/v3.ckpt";
+  std::ofstream(Old) << Text;
+  std::string Err;
+  EXPECT_EQ(runCapture({"--resume=" + Old, "--cb=1", "--quiet"}, Dir, Err,
+                       /*Fd=*/2),
+            8);
+  EXPECT_TRUE(contains(Err, "format 3 predates the current state hash"))
+      << Err;
 }
 
 TEST_F(RunTool, MemoryFlagRoundTripsThroughReplay) {

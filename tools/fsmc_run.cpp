@@ -55,13 +55,16 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <climits>
+#include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <dirent.h>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -200,6 +203,53 @@ bool parseFlag(const char *Arg, const char *Name, const char **Value) {
   return false;
 }
 
+/// Widest --jobs/--fleet accepted: a typo must not ask for thousands of
+/// threads or forked workers.
+constexpr int MaxWorkers = 256;
+
+/// Strict parse of a numeric flag's value: the whole of \p V must be a
+/// decimal integer in [Min, Max]. atoi/strtoull would read "4x" as 4,
+/// "abc" as 0 and "-1" as a negative or wrapped count. Prints the
+/// diagnostic and returns false on a bad value.
+template <typename T>
+bool parseIntFlag(const char *Flag, const char *V, T Min, T Max, T &Out) {
+  const char *End = V + std::strlen(V);
+  T X{};
+  auto [P, Ec] = std::from_chars(V, End, X);
+  if (Ec != std::errc() || P != End || X < Min || X > Max) {
+    errs() << Flag << " must be an integer ";
+    if (Max == std::numeric_limits<T>::max())
+      errs() << ">= " << Min << "\n";
+    else
+      errs() << "in [" << Min << ", " << Max << "]\n";
+    return false;
+  }
+  Out = X;
+  return true;
+}
+
+template <typename T>
+bool parseIntFlag(const char *Flag, const char *V, T Min, T &Out) {
+  return parseIntFlag(Flag, V, Min, std::numeric_limits<T>::max(), Out);
+}
+
+/// Strict parse of a duration in seconds: a whole finite decimal number,
+/// > 0, or >= 0 when \p AllowZero (0 = no budget).
+bool parseSecondsFlag(const char *Flag, const char *V, bool AllowZero,
+                      double &Out) {
+  char *End = nullptr;
+  errno = 0;
+  double X = std::strtod(V, &End);
+  if (End == V || *End != '\0' || errno || !std::isfinite(X) || X < 0 ||
+      (X == 0 && !AllowZero)) {
+    errs() << Flag << " must be a number of seconds "
+           << (AllowZero ? ">= 0" : "> 0") << "\n";
+    return false;
+  }
+  Out = X;
+  return true;
+}
+
 int usage() {
   errs() << "usage: fsmc_run --program=<name> [options]\n"
             "       fsmc_run --list [--stats-json=FILE|-]\n\n"
@@ -212,7 +262,8 @@ int usage() {
             "mode)\n"
             "  --bound=N        execution bound for divergence detection\n"
             "  --executions=N   cap on executions\n"
-            "  --jobs=N         parallel search with N worker threads\n"
+            "  --jobs=N         parallel search with N worker threads "
+            "(N <= 256)\n"
             "  --seconds=S      time budget\n"
             "  --seed=N         PRNG seed\n"
             "  --yieldk=N       process every k-th yield (N >= 1)\n"
@@ -261,9 +312,9 @@ int usage() {
             "fleet options (docs/FLEET.md):\n"
             "  --fleet=N        supervised multi-process search: a "
             "coordinator\n"
-            "                   forks N long-lived workers, re-issues the "
-            "units of\n"
-            "                   crashed/hung workers and degrades "
+            "                   forks N (<= 256) long-lived workers, "
+            "re-issues the\n"
+            "                   units of crashed/hung workers and degrades "
             "gracefully\n"
             "                   (mutually exclusive with --jobs/--isolate="
             "batch/\n"
@@ -574,59 +625,49 @@ int main(int Argc, char **Argv) {
       ProgramName = V;
     else if (parseFlag(Argv[I], "--cb", &V)) {
       Opts.Kind = SearchKind::ContextBounded;
-      Opts.ContextBound = std::atoi(V);
-    } else if (parseFlag(Argv[I], "--iterative", &V))
-      Iterative = std::atoi(V);
-    else if (parseFlag(Argv[I], "--random", &V))
+      if (!parseIntFlag("--cb", V, 0, Opts.ContextBound))
+        return usage();
+    } else if (parseFlag(Argv[I], "--iterative", &V)) {
+      if (!parseIntFlag("--iterative", V, 0, Iterative))
+        return usage();
+    } else if (parseFlag(Argv[I], "--random", &V))
       Opts.Kind = SearchKind::RandomWalk;
     else if (parseFlag(Argv[I], "--unfair", &V))
       Opts.Fair = false;
-    else if (parseFlag(Argv[I], "--depth", &V))
-      Opts.DepthBound = std::strtoull(V, nullptr, 10);
-    else if (parseFlag(Argv[I], "--bound", &V))
-      Opts.ExecutionBound = std::strtoull(V, nullptr, 10);
-    else if (parseFlag(Argv[I], "--executions", &V))
-      Opts.MaxExecutions = std::strtoull(V, nullptr, 10);
-    else if (parseFlag(Argv[I], "--jobs", &V)) {
-      Opts.Jobs = std::atoi(V);
-      if (Opts.Jobs < 1) {
-        errs() << "--jobs must be >= 1\n";
+    else if (parseFlag(Argv[I], "--depth", &V)) {
+      if (!parseIntFlag("--depth", V, uint64_t(0), Opts.DepthBound))
         return usage();
-      }
+    } else if (parseFlag(Argv[I], "--bound", &V)) {
+      if (!parseIntFlag("--bound", V, uint64_t(0), Opts.ExecutionBound))
+        return usage();
+    } else if (parseFlag(Argv[I], "--executions", &V)) {
+      if (!parseIntFlag("--executions", V, uint64_t(0), Opts.MaxExecutions))
+        return usage();
+    } else if (parseFlag(Argv[I], "--jobs", &V)) {
+      if (!parseIntFlag("--jobs", V, 1, MaxWorkers, Opts.Jobs))
+        return usage();
     } else if (parseFlag(Argv[I], "--fleet", &V)) {
-      Opts.FleetWorkers = std::atoi(V);
-      if (Opts.FleetWorkers < 1) {
-        errs() << "--fleet must be >= 1\n";
+      if (!parseIntFlag("--fleet", V, 1, MaxWorkers, Opts.FleetWorkers))
         return usage();
-      }
     } else if (parseFlag(Argv[I], "--fleet-batch", &V)) {
-      Opts.BatchSize = std::atoi(V);
-      if (Opts.BatchSize < 1) {
-        errs() << "--fleet-batch must be >= 1\n";
+      if (!parseIntFlag("--fleet-batch", V, 1, Opts.BatchSize))
         return usage();
-      }
     } else if (parseFlag(Argv[I], "--fleet-quarantine", &V)) {
-      Opts.FleetQuarantine = std::atoi(V);
-      if (Opts.FleetQuarantine < 1) {
-        errs() << "--fleet-quarantine must be >= 1\n";
+      if (!parseIntFlag("--fleet-quarantine", V, 1, Opts.FleetQuarantine))
         return usage();
-      }
-    } else if (parseFlag(Argv[I], "--seconds", &V))
-      Opts.TimeBudgetSeconds = std::atof(V);
-    else if (parseFlag(Argv[I], "--seed", &V)) {
-      Opts.Seed = std::strtoull(V, nullptr, 10);
+    } else if (parseFlag(Argv[I], "--seconds", &V)) {
+      if (!parseSecondsFlag("--seconds", V, /*AllowZero=*/true,
+                            Opts.TimeBudgetSeconds))
+        return usage();
+    } else if (parseFlag(Argv[I], "--seed", &V)) {
+      if (!parseIntFlag("--seed", V, uint64_t(0), Opts.Seed))
+        return usage();
       SeedSet = true;
     } else if (parseFlag(Argv[I], "--yieldk", &V)) {
-      // Strict parse: atoi would map "abc" to 0 (a division by zero in
-      // the scheduler) and "-1" wraps to 2^32-1 inside it, which silently
-      // switches fairness off.
-      char *End = nullptr;
-      long K = std::strtol(V, &End, 10);
-      if (End == V || *End != '\0' || K < 1 || K > INT_MAX) {
-        errs() << "--yieldk must be an integer >= 1\n";
+      // A zero k would divide by zero in the scheduler, and "-1" used to
+      // wrap to 2^32-1 inside it, which silently switched fairness off.
+      if (!parseIntFlag("--yieldk", V, 1, Opts.YieldK))
         return usage();
-      }
-      Opts.YieldK = int(K);
     } else if (parseFlag(Argv[I], "--por", &V)) {
       if (*V == '\0' || std::strcmp(V, "on") == 0)
         Opts.Por = true;
@@ -659,17 +700,12 @@ int main(int Argc, char **Argv) {
         return usage();
       }
     } else if (parseFlag(Argv[I], "--batch-size", &V)) {
-      Opts.BatchSize = std::atoi(V);
-      if (Opts.BatchSize < 1) {
-        errs() << "--batch-size must be >= 1\n";
+      if (!parseIntFlag("--batch-size", V, 1, Opts.BatchSize))
         return usage();
-      }
     } else if (parseFlag(Argv[I], "--hang-timeout", &V)) {
-      Opts.HangTimeoutSeconds = std::atof(V);
-      if (Opts.HangTimeoutSeconds <= 0) {
-        errs() << "--hang-timeout must be > 0\n";
+      if (!parseSecondsFlag("--hang-timeout", V, /*AllowZero=*/false,
+                            Opts.HangTimeoutSeconds))
         return usage();
-      }
     } else if (parseFlag(Argv[I], "--races", &V)) {
       if (std::strcmp(V, "off") == 0)
         Opts.Races = RaceCheckMode::Off;
@@ -682,11 +718,8 @@ int main(int Argc, char **Argv) {
         return usage();
       }
     } else if (parseFlag(Argv[I], "--divergence-retries", &V)) {
-      Opts.DivergenceRetries = std::atoi(V);
-      if (Opts.DivergenceRetries < 0) {
-        errs() << "--divergence-retries must be >= 0\n";
+      if (!parseIntFlag("--divergence-retries", V, 0, Opts.DivergenceRetries))
         return usage();
-      }
     } else if (parseFlag(Argv[I], "--checkpoint", &V)) {
       if (!*V) {
         errs() << "--checkpoint needs a file name\n";
@@ -694,11 +727,9 @@ int main(int Argc, char **Argv) {
       }
       CheckpointPath = V;
     } else if (parseFlag(Argv[I], "--checkpoint-every", &V)) {
-      Opts.CheckpointEvery = std::strtoull(V, nullptr, 10);
-      if (!Opts.CheckpointEvery) {
-        errs() << "--checkpoint-every must be >= 1\n";
+      if (!parseIntFlag("--checkpoint-every", V, uint64_t(1),
+                        Opts.CheckpointEvery))
         return usage();
-      }
     } else if (parseFlag(Argv[I], "--resume", &V)) {
       if (!*V) {
         errs() << "--resume needs a file name\n";
@@ -725,13 +756,9 @@ int main(int Argc, char **Argv) {
       TraceOutPath = V;
     } else if (parseFlag(Argv[I], "--progress", &V)) {
       Progress = true;
-      if (*V) {
-        ProgressSeconds = std::atof(V);
-        if (ProgressSeconds <= 0) {
-          errs() << "--progress interval must be > 0\n";
-          return usage();
-        }
-      }
+      if (*V && !parseSecondsFlag("--progress", V, /*AllowZero=*/false,
+                                  ProgressSeconds))
+        return usage();
     } else if (parseFlag(Argv[I], "--step-timing", &V))
       StepTiming = true;
     else if (parseFlag(Argv[I], "--timing", &V))

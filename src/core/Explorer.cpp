@@ -56,6 +56,12 @@ bool Explorer::timeExceeded() const {
          Opts.TimeBudgetSeconds;
 }
 
+uint64_t Explorer::executionCap() const {
+  if (Opts.DepthBound > 0 && Opts.RandomTail)
+    return Opts.DepthBound + Opts.RandomTailCap;
+  return Opts.ExecutionBound;
+}
+
 Tid Explorer::nthMember(ThreadSet S, int Idx) {
   for (Tid T : S) {
     if (Idx == 0)
@@ -362,31 +368,628 @@ int Explorer::chooseInt(int N) {
   return pickIndex(N, /*Backtrack=*/!Random, /*PickRandom=*/Random);
 }
 
-Explorer::ExecEnd Explorer::runOneExecution() {
-  Cursor = 0;
-  ReplayLen = Stack.size();
-  CurSteps = 0;
-  CurTrace.clear();
+/// Why an execution ended: which of finishExecution's epilogues runs.
+enum class Explorer::EndCause {
+  None,        ///< Still running.
+  Terminated,  ///< Every thread finished.
+  Deadlock,    ///< Live threads remain, none enabled.
+  PorPruned,   ///< Every candidate sleeps (unfair POR prune).
+  Diverged,    ///< Replay mismatch.
+  Failed,      ///< A thread reported a safety violation.
+  FatalRace,   ///< A race under RaceCheckMode::Fatal.
+  EagerGs,     ///< The liveness monitor's eager good-samaritan bound.
+  StatePruned, ///< Stateful reference search reached a visited state.
+  DepthCut,    ///< The depth bound without a random tail.
+  Cap,         ///< The execution bound: divergence, or abandoned.
+  Interrupted, ///< InterruptFlag observed mid-execution.
+  TimedOut,    ///< The time budget ran out mid-execution.
+};
+
+/// One execution's scheduling state, carried from one transition to the
+/// next. decide() and afterTransition() advance it -- on the controller's
+/// stack, or on the running thread's from onParked() -- so the per-
+/// transition logic exists once whichever stack runs it.
+struct Explorer::ExecState {
+  ExecState(Runtime &RT, RaceDetector *Race, const CheckerOptions &Opts)
+      : RT(RT), Race(Race), FS(Opts.YieldK), Monitor(Opts.GoodSamaritanBound),
+        CutAtDepth(Opts.DepthBound > 0 && !Opts.RandomTail) {}
+
+  Runtime &RT;
+  RaceDetector *Race;
+  FairScheduler FS;
+  LivenessMonitor Monitor;
 
   // Hoisted observability state: with no observer, Ctr is null and every
-  // hook below is one predictable-false branch.
-  const bool TraceT = Obs && Obs->traceTransitions();
-  const bool TimeSteps = Ctr && Obs->stepTiming();
-  const uint64_t ExecStartClock = ObsClock;
+  // hook is one predictable-false branch.
+  bool TraceT = false;
+  bool TimeSteps = false;
+  uint64_t ExecStartClock = 0;
   uint64_t LastEdgeAdds = 0, LastEdgeRemovals = 0;
+  /// Start of the transition in flight, for --step-timing.
+  std::chrono::steady_clock::time_point StepT0;
 
   // Phase self-timing (Observer::Config::PhaseTiming): two clock reads
   // per execution plus one pair per coverage lookup; the replay bucket
   // closes when the cursor first leaves the recorded prefix. ReplayDone
   // stays true with timing off, so the per-transition check is one
   // always-true bool test.
-  const bool PhaseT = Ctr && Obs->phaseTiming();
+  bool PhaseT = false;
   std::chrono::steady_clock::time_point PhaseStart, ReplayEndT;
   bool ReplayDone = true;
   uint64_t SnapNs = 0;
   // Snapshot ns accumulated before the replay bucket closed: coverage
   // lookups inside the prefix belong to the snapshot bucket, not replay.
   uint64_t SnapNsReplay = 0;
+
+  Tid Prev = -1;
+  int Preemptions = 0;
+  bool CutAtDepth;
+  // Sleep-set POR state: threads whose pending operation need not be
+  // scheduled here because an equivalent interleaving (same Mazurkiewicz
+  // trace) is explored on an already-visited branch.
+  ThreadSet Sleep;
+  /// ES of the current state. afterTransition computes it for the fair
+  /// scheduler's post-state and decide() reuses it: nothing in between
+  /// changes it (state extractors only read).
+  ThreadSet ES;
+
+  // The transition decide() picked, read back by afterTransition.
+  Tid T = -1;
+  PendingOp Op; ///< A copy: the step replaces the pending op.
+  bool Replaying = false;
+  bool OthersEnabled = false;
+
+  EndCause End = EndCause::None;
+};
+
+Tid Explorer::onParked() {
+  ExecState &X = *Cur;
+  if (afterTransition(X, StepStatus::Parked) && decide(X))
+    return X.T;
+  return -1;
+}
+
+bool Explorer::decide(ExecState &X) {
+  Runtime &RT = X.RT;
+  const ThreadSet ES = X.ES;
+  if (ES.empty()) {
+    // Theorem 3: under fairness the schedulable set is empty only when
+    // ES is, so with live threads left this is a genuine deadlock, never
+    // a false one.
+    X.End = RT.liveSet().empty() ? EndCause::Terminated : EndCause::Deadlock;
+    return false;
+  }
+
+  ThreadSet Allowed = Opts.Fair ? X.FS.allowed(ES) : ES;
+  const Tid Prev = X.Prev;
+
+  SchedContext C;
+  C.Enabled = ES;
+  C.Allowed = Allowed;
+  C.Prev = Prev;
+  C.PrevEnabled = Prev >= 0 && ES.contains(Prev);
+  C.PrevAllowed = Prev >= 0 && Allowed.contains(Prev);
+  C.PrevAtYield = Prev >= 0 && RT.yieldPending(Prev);
+  C.Step = CurSteps;
+  C.PreemptionsUsed = X.Preemptions;
+
+  CandidateSet Cands = Strategy->candidates(C);
+  assert(!Cands.Set.empty() && "strategy returned no candidates");
+  assert(Cands.Set.isSubsetOf(Allowed) &&
+         "strategy candidates must respect the priority order");
+  if (Opts.DepthBound > 0 && CurSteps >= Opts.DepthBound) {
+    // Past the depth bound: random, non-branching picks (Section 4.2.1).
+    Cands.Backtrack = false;
+    Cands.PickRandom = true;
+  }
+  uint64_t SleepMaskHere = 0;
+  if (Opts.Por) {
+    ThreadSet Sleeping = Cands.Set & X.Sleep;
+    if (!Sleeping.empty()) {
+      Result.Stats.PorSleepHits += Sleeping.size();
+      if (Ctr)
+        Ctr->add(obs::Counter::PorSleepHits, Sleeping.size());
+      if (Prof)
+        // Attribute the filtered candidates to the op class they would
+        // have performed: where the reduction is earning its keep.
+        for (Tid S : Sleeping)
+          Prof->notePorSleep(unsigned(RT.pendingOf(S).Kind));
+      Cands.Set -= Sleeping;
+      if (Cands.Set.empty()) {
+        if (Opts.Fair) {
+          // Fairness-interaction rule (docs/POR.md): under the fair
+          // scheduler the sleepers are the only fairness-allowed
+          // choices left, and dropping them would discard schedules
+          // the fairness guarantee (Theorem 1) depends on -- so they
+          // are woken, never dropped. Without fairness the classical
+          // prune is sound: the subtree only permutes moves an
+          // already-explored sibling branch covers.
+          Cands.Set = Sleeping;
+          X.Sleep -= Sleeping;
+          Result.Stats.PorFairWakes += Sleeping.size();
+          if (Ctr)
+            Ctr->add(obs::Counter::PorFairWakes, Sleeping.size());
+        } else {
+          // Every schedulable move sleeps: this state's subtree is
+          // covered by an equivalent interleaving elsewhere. Not a
+          // deadlock.
+          X.End = EndCause::PorPruned;
+          return false;
+        }
+      }
+    }
+    SleepMaskHere = X.Sleep.rawBits();
+  }
+
+  // Flush-agent bits of the candidate set (--memory=tso|pso): recorded
+  // on the stack and in schedules so replay under a different memory
+  // model -- where the same choice indices would name different
+  // threads -- diverges instead of silently exploring another
+  // interleaving. Always zero under sc, so sc output is unchanged.
+  uint64_t FlushMaskHere = 0;
+  if (Opts.Memory != MemoryModel::Sc)
+    FlushMaskHere = Cands.Set.rawBits() &
+                    ~((uint64_t(1) << Runtime::FlushBase) - 1);
+
+  X.Replaying = Cursor < ReplayLen;
+  if (!X.ReplayDone && !X.Replaying) {
+    X.ReplayEndT = std::chrono::steady_clock::now();
+    X.ReplayDone = true;
+    X.SnapNsReplay = X.SnapNs;
+  }
+  int Idx = pickIndex(Cands.Set.size(), Cands.Backtrack, Cands.PickRandom,
+                      SleepMaskHere, FlushMaskHere);
+  if (ReplayMismatch) {
+    // Nondeterminism beyond scheduling/chooseInt. A mismatch can only
+    // fire in the replay region, so the stack is exactly as it was at
+    // the start of the execution: the driver retries it verbatim up to
+    // Opts.DivergenceRetries times before discarding the subtree.
+    X.End = EndCause::Diverged;
+    return false;
+  }
+  Tid T = nthMember(Cands.Set, Idx);
+
+  // Preemption accounting (Section 4): switching away from an enabled
+  // previous thread costs one preemption unless the fair scheduler
+  // excluded it (PrevAllowed false) or it sits at a voluntary yield.
+  if (T != Prev && C.PrevEnabled && C.PrevAllowed && !C.PrevAtYield) {
+    ++X.Preemptions;
+    ++Result.Stats.Preemptions;
+    if (Ctr)
+      Ctr->add(obs::Counter::Preemptions);
+  }
+
+  X.T = T;
+  X.Op = RT.pendingOf(T);
+  const PendingOp &Op = X.Op;
+  bool WasYield = Op.isYield();
+  CurTrace.record(
+      {T, Op.Kind, Op.ObjectId, Op.Aux, RT.annotationOf(T), WasYield});
+  // "Others enabled" feeds the good-samaritan monitor, which reasons
+  // about *program* threads: a flush agent being enabled (someone's
+  // buffer is non-empty) must not turn a spinning thread into a
+  // violator. Gated on the memory model -- under sc the high tids are
+  // ordinary threads and masking them would be wrong.
+  ThreadSet RealES = ES;
+  if (Opts.Memory != MemoryModel::Sc)
+    RealES = ES & ThreadSet::firstN(Runtime::FlushBase);
+  X.OthersEnabled = !(RealES - ThreadSet::singleton(T)).empty();
+
+  if (Prof && !X.Replaying && Cands.Backtrack && Cands.Set.size() >= 2) {
+    // A fresh scheduling branch point: attribute the alternatives it
+    // opened to the executed operation's class and object.
+    Prof->noteBranch(unsigned(Op.Kind), Cands.Set.size(), CurSteps);
+    if (Op.ObjectId >= 0)
+      Prof->noteObject(RT.objectName(Op.ObjectId), Cands.Set.size());
+  }
+  if (Explain) {
+    obs::ExplainStep S;
+    S.Thread = T;
+    S.ThreadName = RT.threadName(T);
+    S.Op = Op.Kind;
+    if (Op.ObjectId >= 0)
+      S.Object = RT.objectName(Op.ObjectId);
+    S.Annotation = RT.annotationOf(T);
+    S.WasYield = WasYield;
+    S.EnabledMask = ES.rawBits();
+    S.SleepMask = SleepMaskHere;
+    S.Choices = Cands.Set.size();
+    S.ChosenIdx = Idx;
+    Explain->Steps.push_back(std::move(S));
+  }
+
+  if (Opts.Por && Cands.Backtrack) {
+    // Siblings tried before this choice (indices < Idx) have fully
+    // explored subtrees; their moves sleep below this transition.
+    int K = 0;
+    for (Tid Sib : Cands.Set) {
+      if (K++ >= Idx)
+        break;
+      // Fairness-interaction rule (docs/POR.md): yield transitions are
+      // never put to sleep under the fair scheduler. Yields commute
+      // with every operation, so a sleeping yield would sleep forever
+      // -- but Algorithm 1's priority bookkeeping depends on *which*
+      // thread executes the yield, so commuted branches are not
+      // fair-equivalent and may not stand in for each other.
+      if (Opts.Fair && RT.yieldPending(Sib))
+        continue;
+      X.Sleep.insert(Sib);
+    }
+  }
+
+  if (X.TimeSteps)
+    X.StepT0 = std::chrono::steady_clock::now();
+  return true;
+}
+
+bool Explorer::afterTransition(ExecState &X, StepStatus St) {
+  Runtime &RT = X.RT;
+  const Tid T = X.T;
+  const PendingOp &Op = X.Op;
+  if (X.TimeSteps)
+    Ctr->addLatencyNs(
+        uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     std::chrono::steady_clock::now() - X.StepT0)
+                     .count()));
+  ++CurSteps;
+  ++Result.Stats.Transitions;
+  if (Ctr) {
+    ++ObsClock;
+    Ctr->add(obs::Counter::Transitions);
+    Ctr->addOp(unsigned(Op.Kind));
+    if (X.Replaying)
+      Ctr->add(obs::Counter::ReplaySteps);
+    if (X.TraceT) {
+      obs::ObsEvent E; // Kind defaults to Transition.
+      E.Thread = T;
+      E.Ts = ObsClock - 1;
+      E.Dur = 1;
+      E.Op = Op.Kind;
+      E.Object = Op.ObjectId;
+      E.ArgA = CurSteps - 1;
+      emitEvent(E);
+    }
+  }
+
+  if (ReplayMismatch) {
+    // A chooseInt inside this transition mismatched its recording. The
+    // whole execution is poisoned -- later choices were misapplied --
+    // so divergence outranks anything the transition appeared to do,
+    // including failing an assertion or ending the program.
+    X.End = EndCause::Diverged;
+    return false;
+  }
+
+  if (St == StepStatus::Failed) {
+    X.End = EndCause::Failed;
+    return false;
+  }
+
+  if (X.Race && Opts.Races == RaceCheckMode::Fatal &&
+      !X.Race->races().empty()) {
+    X.End = EndCause::FatalRace;
+    return false;
+  }
+
+  const bool WasYield = Op.isYield();
+  const ThreadSet ESAfter = RT.enabledSet();
+  if (Opts.Fair)
+    X.FS.onTransition(T, X.ES, ESAfter, WasYield);
+  X.ES = ESAfter;
+
+  if (X.TraceT && Opts.Fair) {
+    // Priority-edge churn as instant events at this transition's tick;
+    // removal (line 13) happens before addition (line 25).
+    uint64_t RemD = X.FS.edgeRemovals() - X.LastEdgeRemovals;
+    uint64_t AddD = X.FS.edgeAdditions() - X.LastEdgeAdds;
+    X.LastEdgeRemovals = X.FS.edgeRemovals();
+    X.LastEdgeAdds = X.FS.edgeAdditions();
+    if (RemD) {
+      obs::ObsEvent E;
+      E.Kind = obs::EventKind::FairEdgeRemove;
+      E.Thread = T;
+      E.Ts = ObsClock - 1;
+      E.ArgA = RemD;
+      E.ArgB = CurSteps - 1;
+      emitEvent(E);
+    }
+    if (AddD) {
+      obs::ObsEvent E;
+      E.Kind = obs::EventKind::FairEdgeAdd;
+      E.Thread = T;
+      E.Ts = ObsClock - 1;
+      E.ArgA = AddD;
+      E.ArgB = CurSteps - 1;
+      emitEvent(E);
+    }
+  }
+
+  if (Opts.Por) {
+    // Wake every sleeper whose pending move conflicts with the executed
+    // operation: the orders now differ in observable effect. The
+    // dependence oracle (core/Dependence.h) is tid-aware -- a sleeping
+    // Join(t) wakes on any transition executed by t, and on nothing
+    // else t-related.
+    X.Sleep.erase(T);
+    for (Tid S : X.Sleep)
+      if (!RT.liveSet().contains(S) ||
+          !independentTransitions(S, RT.pendingOf(S), T, Op))
+        X.Sleep.erase(S);
+  }
+
+  // Flush agents are exempt from liveness accounting: they never yield
+  // by design, so feeding their transitions to the monitor would trip
+  // the eager good-samaritan bound on behalf of a pseudo-thread the
+  // workload cannot fix.
+  if (!Runtime::isFlushAgent(T))
+    X.Monitor.onTransition(T, WasYield, X.OthersEnabled);
+  if (Opts.DetectDivergence && X.Monitor.eagerGsViolator() >= 0) {
+    X.End = EndCause::EagerGs;
+    return false;
+  }
+
+  if (Opts.TrackCoverage || Opts.StatefulPruning) {
+    std::chrono::steady_clock::time_point SnapT0;
+    if (X.PhaseT)
+      SnapT0 = std::chrono::steady_clock::now();
+    uint64_t Sig = RT.stateSignature();
+    if (SeenStates.insert(Sig)) {
+      if (LogStates)
+        StateLog.push_back(Sig);
+    } else {
+      ++Result.Stats.StateHits;
+    }
+    if (X.PhaseT)
+      X.SnapNs += uint64_t(std::chrono::duration_cast<
+                               std::chrono::nanoseconds>(
+                               std::chrono::steady_clock::now() - SnapT0)
+                               .count());
+    // Pruning decisions are made only beyond the replayed prefix; the
+    // prefix's states were inserted by the earlier execution that
+    // explored it.
+    if (Opts.StatefulPruning && Cursor >= ReplayLen) {
+      // The visited key must be finite for the reference search to
+      // terminate on cyclic state spaces: include the preemption budget
+      // only when a context bound caps it. Under a context bound the
+      // continuation also depends on which thread just ran (switching
+      // away from it is what costs), so the key includes it too --
+      // otherwise the reference search prunes paths whose futures
+      // differ and undercounts the total.
+      uint64_t Key = Sig;
+      if (Opts.Kind == SearchKind::ContextBounded) {
+        Key ^= hashU64(0x5157ULL + uint64_t(X.Preemptions));
+        Tid NewPrev = St == StepStatus::Finished ? -1 : T;
+        Key ^= hashU64(0xc0117e87ULL * uint64_t(NewPrev + 2));
+      }
+      if (!PruneKeys.insert(Key)) {
+        X.End = EndCause::StatePruned;
+        return false;
+      }
+    }
+  }
+
+  if (X.CutAtDepth && CurSteps >= Opts.DepthBound) {
+    X.End = EndCause::DepthCut;
+    return false;
+  }
+
+  uint64_t Cap = executionCap();
+  if (Cap > 0 && CurSteps >= Cap) {
+    X.End = EndCause::Cap;
+    return false;
+  }
+
+  if ((CurSteps & 0xfff) == 0) {
+    if (Opts.InterruptFlag &&
+        Opts.InterruptFlag->load(std::memory_order_relaxed)) {
+      X.End = EndCause::Interrupted;
+      return false;
+    }
+    if (timeExceeded()) {
+      X.End = EndCause::TimedOut;
+      return false;
+    }
+  }
+
+  X.Prev = (St == StepStatus::Finished) ? -1 : T;
+  return true;
+}
+
+void Explorer::finishStats(ExecState &X, const char *EndDetail,
+                           bool HarvestRaces) {
+  Runtime &RT = X.RT;
+  if (Explain)
+    Explain->EndDetail = EndDetail;
+  if (X.PhaseT) {
+    auto Now = std::chrono::steady_clock::now();
+    if (!X.ReplayDone) {
+      X.ReplayEndT = Now; // The whole execution was replay.
+      X.ReplayDone = true;
+      X.SnapNsReplay = X.SnapNs;
+    }
+    auto Ns = [](std::chrono::steady_clock::time_point A,
+                 std::chrono::steady_clock::time_point B) {
+      return uint64_t(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(B - A)
+              .count());
+    };
+    uint64_t ReplayNs = Ns(X.PhaseStart, X.ReplayEndT);
+    uint64_t ExecNs = Ns(X.ReplayEndT, Now);
+    uint64_t SnapExec = X.SnapNs - X.SnapNsReplay;
+    Ctr->addPhaseNs(obs::Phase::Replay,
+                    ReplayNs - std::min(ReplayNs, X.SnapNsReplay));
+    Ctr->addPhaseNs(obs::Phase::Execute, ExecNs - std::min(ExecNs, SnapExec));
+    if (X.SnapNs)
+      Ctr->addPhaseNs(obs::Phase::Snapshot, X.SnapNs);
+  }
+  if (RT.threadCount() > Result.Stats.MaxThreads)
+    Result.Stats.MaxThreads = RT.threadCount();
+  if (RT.syncOpCount() > Result.Stats.MaxSyncOps)
+    Result.Stats.MaxSyncOps = RT.syncOpCount();
+  if (CurSteps > Result.Stats.MaxDepth)
+    Result.Stats.MaxDepth = CurSteps;
+  // Unconditional like FairEdgeAdditions: diverged attempts did enqueue
+  // and flush, and the totals describe work done, not executions
+  // counted. Both stay zero under --memory=sc.
+  Result.Stats.BufferedStores += RT.bufferedStoreCount();
+  Result.Stats.StoreFlushes += RT.storeFlushCount();
+  Result.Stats.FairEdgeAdditions += X.FS.edgeAdditions();
+  if (Ctr) {
+    Ctr->add(obs::Counter::FairEdgeAdds, X.FS.edgeAdditions());
+    Ctr->add(obs::Counter::FairEdgeRemovals, X.FS.edgeRemovals());
+    Ctr->maxGauge(obs::Gauge::MaxDepth, Result.Stats.MaxDepth);
+    if (Obs->sink()) {
+      obs::ObsEvent E;
+      E.Kind = obs::EventKind::ExecutionEnd;
+      E.Ts = X.ExecStartClock;
+      E.Dur = CurSteps;
+      E.ArgA = CurSteps;
+      E.Detail = EndDetail;
+      if (Opts.Estimate) {
+        // The leaf mass this path contributes to the tree-size
+        // estimate, mirrored into the trace so Perfetto can show which
+        // subtrees carry the estimator's weight.
+        double P = 1.0;
+        for (size_t I = 0, N = std::min(Cursor, Stack.size()); I < N; ++I)
+          if (Stack[I].Backtrack)
+            P /= double(Stack[I].Num);
+        E.Mass = P;
+      }
+      emitEvent(E);
+    }
+  }
+  if (X.Race && HarvestRaces) {
+    if (X.PhaseT) {
+      auto T0 = std::chrono::steady_clock::now();
+      harvestRaces(*X.Race, RT);
+      Ctr->addPhaseNs(
+          obs::Phase::RaceCheck,
+          uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                       std::chrono::steady_clock::now() - T0)
+                       .count()));
+    } else {
+      harvestRaces(*X.Race, RT);
+    }
+  }
+}
+
+Explorer::ExecEnd Explorer::finishExecution(ExecState &X) {
+  Runtime &RT = X.RT;
+  // \p HarvestRaces (finishStats) is cleared on the exits that do not
+  // count as an execution (divergence, mid-execution interrupt): their
+  // attempts are re-run, and harvesting them would double-count checks
+  // and break the resumed run's equivalence with an uninterrupted one.
+  switch (X.End) {
+  case EndCause::None:
+    break;
+  case EndCause::Terminated:
+    finishStats(X, "terminated");
+    return ExecEnd::Terminated;
+  case EndCause::Deadlock: {
+    finishStats(X, "bug");
+    if (Explain)
+      for (Tid B : RT.liveSet()) {
+        const PendingOp P = RT.pendingOf(B);
+        obs::ExplainBlocked BB;
+        BB.Thread = B;
+        BB.ThreadName = RT.threadName(B);
+        BB.Op = P.Kind;
+        if (P.ObjectId >= 0)
+          BB.Object = RT.objectName(P.ObjectId);
+        Explain->Blocked.push_back(std::move(BB));
+      }
+    std::string Blocked;
+    for (Tid T : RT.liveSet())
+      Blocked += " " + RT.threadName(T);
+    reportBug(Verdict::Deadlock, "deadlock: blocked threads:" + Blocked, RT,
+              CurSteps);
+    return ExecEnd::Bug;
+  }
+  case EndCause::PorPruned:
+    // The pruned path's estimator mass is credited here, while the
+    // cursor still frames the pruned node, so the subtree the reduction
+    // cuts can never drop out of the weighted-backtrack sum.
+    finishStats(X, "por_pruned");
+    ++Result.Stats.PorBranchesPruned;
+    if (Ctr)
+      Ctr->add(obs::Counter::PorBranchesPruned);
+    creditEstimateMass();
+    return ExecEnd::Pruned;
+  case EndCause::Diverged:
+    finishStats(X, "diverged", /*HarvestRaces=*/false);
+    return ExecEnd::Diverged;
+  case EndCause::Failed:
+    finishStats(X, "bug");
+    reportBug(Verdict::SafetyViolation, RT.failureMessage(), RT, CurSteps);
+    return ExecEnd::Bug;
+  case EndCause::FatalRace:
+    // Fatal mode: a race ends the execution like a safety violation
+    // (finishStats already harvested it as an incident too).
+    finishStats(X, "bug");
+    reportBug(Verdict::DataRace, X.Race->races().front().Message, RT,
+              CurSteps);
+    return ExecEnd::Bug;
+  case EndCause::EagerGs: {
+    Tid V = X.Monitor.eagerGsViolator();
+    finishStats(X, "bug");
+    reportBug(Verdict::GoodSamaritanViolation,
+              "good samaritan violation: thread " + RT.threadName(V) +
+                  " ran " + std::to_string(Opts.GoodSamaritanBound) +
+                  " transitions without yielding while other threads "
+                  "were enabled",
+              RT, CurSteps);
+    return ExecEnd::Bug;
+  }
+  case EndCause::StatePruned:
+    finishStats(X, "pruned");
+    ++Result.Stats.PrunedExecutions;
+    if (Ctr)
+      Ctr->add(obs::Counter::StatefulPrunes);
+    creditEstimateMass(); // At the prune site; see the POR prune.
+    return ExecEnd::Pruned;
+  case EndCause::Cap:
+    if (Opts.DetectDivergence) {
+      finishStats(X, "bug");
+      auto Div =
+          LivenessMonitor::classifyDivergence(CurTrace, executionCap() / 2);
+      if (Obs && Obs->sink()) {
+        obs::ObsEvent E;
+        E.Kind = obs::EventKind::Divergence;
+        E.Ts = ObsClock;
+        E.ArgA = Result.Stats.Executions;
+        E.ArgB = CurSteps;
+        E.Detail = Div.IsGoodSamaritan ? "good_samaritan" : "livelock";
+        emitEvent(E);
+      }
+      reportBug(Div.IsGoodSamaritan ? Verdict::GoodSamaritanViolation
+                                    : Verdict::Livelock,
+                Div.Summary, RT, CurSteps);
+      return ExecEnd::Bug;
+    }
+    [[fallthrough]];
+  case EndCause::DepthCut:
+    finishStats(X, "abandoned");
+    ++Result.Stats.NonterminatingExecutions;
+    if (Ctr)
+      Ctr->add(obs::Counter::NonterminatingExecutions);
+    return ExecEnd::Abandoned;
+  case EndCause::Interrupted:
+    finishStats(X, "abandoned", /*HarvestRaces=*/false);
+    return ExecEnd::Interrupted;
+  case EndCause::TimedOut:
+    finishStats(X, "abandoned");
+    Result.Stats.TimedOut = true;
+    return ExecEnd::Abandoned;
+  }
+  assert(false && "execution finished without an end cause");
+  return ExecEnd::Abandoned;
+}
+
+Explorer::ExecEnd Explorer::runOneExecution() {
+  Cursor = 0;
+  ReplayLen = Stack.size();
+  CurSteps = 0;
+  CurTrace.clear();
 
   // A fresh detector per execution, like every other piece of per-
   // execution state: the stateless search replays establish all clocks
@@ -416,511 +1019,38 @@ Explorer::ExecEnd Explorer::runOneExecution() {
     LocalRT.emplace(*this, RTOpts);
   }
   Runtime &RT = LocalRT ? *LocalRT : *PersistentRT;
-  FairScheduler FS(Opts.YieldK);
-  LivenessMonitor Monitor(Opts.GoodSamaritanBound);
-  Monitor.beginExecution();
+  ExecState X(RT, RaceD ? &*RaceD : nullptr, Opts);
+  X.TraceT = Obs && Obs->traceTransitions();
+  X.TimeSteps = Ctr && Obs->stepTiming();
+  X.PhaseT = Ctr && Obs->phaseTiming();
+  X.ExecStartClock = ObsClock;
+  X.Monitor.beginExecution();
   Strategy->beginExecution();
   RT.start(Program.Body);
-  if (PhaseT) {
-    PhaseStart = std::chrono::steady_clock::now();
-    ReplayDone = ReplayLen == 0;
-    if (ReplayDone)
-      ReplayEndT = PhaseStart;
+  if (X.PhaseT) {
+    X.PhaseStart = std::chrono::steady_clock::now();
+    X.ReplayDone = ReplayLen == 0;
+    if (X.ReplayDone)
+      X.ReplayEndT = X.PhaseStart;
   }
+  X.ES = RT.enabledSet();
 
-  Tid Prev = -1;
-  int Preemptions = 0;
-  bool CutAtDepth = Opts.DepthBound > 0 && !Opts.RandomTail;
-  // Sleep-set POR state: threads whose pending operation need not be
-  // scheduled here because an equivalent interleaving (same Mazurkiewicz
-  // trace) is explored on an already-visited branch.
-  ThreadSet Sleep;
-
-  // Runs on every way out of the execution; \p EndDetail is the stable
-  // wire name of the end class for the ExecutionEnd trace event.
-  // \p HarvestRaces is cleared on the exits that do not count as an
-  // execution (divergence, mid-execution interrupt): their attempts are
-  // re-run, and harvesting them would double-count checks and break the
-  // resumed run's equivalence with an uninterrupted one.
-  auto finishStats = [&](const char *EndDetail, bool HarvestRaces = true) {
-    if (Explain)
-      Explain->EndDetail = EndDetail;
-    if (PhaseT) {
-      auto Now = std::chrono::steady_clock::now();
-      if (!ReplayDone) {
-        ReplayEndT = Now; // The whole execution was replay.
-        ReplayDone = true;
-        SnapNsReplay = SnapNs;
-      }
-      auto Ns = [](std::chrono::steady_clock::time_point A,
-                   std::chrono::steady_clock::time_point B) {
-        return uint64_t(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(B - A)
-                .count());
-      };
-      uint64_t ReplayNs = Ns(PhaseStart, ReplayEndT);
-      uint64_t ExecNs = Ns(ReplayEndT, Now);
-      uint64_t SnapExec = SnapNs - SnapNsReplay;
-      Ctr->addPhaseNs(obs::Phase::Replay,
-                      ReplayNs - std::min(ReplayNs, SnapNsReplay));
-      Ctr->addPhaseNs(obs::Phase::Execute,
-                      ExecNs - std::min(ExecNs, SnapExec));
-      if (SnapNs)
-        Ctr->addPhaseNs(obs::Phase::Snapshot, SnapNs);
-    }
-    if (RT.threadCount() > Result.Stats.MaxThreads)
-      Result.Stats.MaxThreads = RT.threadCount();
-    if (RT.syncOpCount() > Result.Stats.MaxSyncOps)
-      Result.Stats.MaxSyncOps = RT.syncOpCount();
-    if (CurSteps > Result.Stats.MaxDepth)
-      Result.Stats.MaxDepth = CurSteps;
-    // Unconditional like FairEdgeAdditions: diverged attempts did enqueue
-    // and flush, and the totals describe work done, not executions
-    // counted. Both stay zero under --memory=sc.
-    Result.Stats.BufferedStores += RT.bufferedStoreCount();
-    Result.Stats.StoreFlushes += RT.storeFlushCount();
-    Result.Stats.FairEdgeAdditions += FS.edgeAdditions();
-    if (Ctr) {
-      Ctr->add(obs::Counter::FairEdgeAdds, FS.edgeAdditions());
-      Ctr->add(obs::Counter::FairEdgeRemovals, FS.edgeRemovals());
-      Ctr->maxGauge(obs::Gauge::MaxDepth, Result.Stats.MaxDepth);
-      if (Obs->sink()) {
-        obs::ObsEvent E;
-        E.Kind = obs::EventKind::ExecutionEnd;
-        E.Ts = ExecStartClock;
-        E.Dur = CurSteps;
-        E.ArgA = CurSteps;
-        E.Detail = EndDetail;
-        if (Opts.Estimate) {
-          // The leaf mass this path contributes to the tree-size
-          // estimate, mirrored into the trace so Perfetto can show which
-          // subtrees carry the estimator's weight.
-          double P = 1.0;
-          for (size_t I = 0, N = std::min(Cursor, Stack.size()); I < N; ++I)
-            if (Stack[I].Backtrack)
-              P /= double(Stack[I].Num);
-          E.Mass = P;
-        }
-        emitEvent(E);
-      }
-    }
-    if (RaceD && HarvestRaces) {
-      if (PhaseT) {
-        auto T0 = std::chrono::steady_clock::now();
-        harvestRaces(*RaceD, RT);
-        Ctr->addPhaseNs(
-            obs::Phase::RaceCheck,
-            uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         std::chrono::steady_clock::now() - T0)
-                         .count()));
-      } else {
-        harvestRaces(*RaceD, RT);
-      }
-    }
-  };
-
-  while (true) {
-    ThreadSet ES = RT.enabledSet();
-    if (ES.empty()) {
-      if (RT.liveSet().empty()) {
-        finishStats("terminated");
-        return ExecEnd::Terminated;
-      }
-      finishStats("bug");
-      // Theorem 3: under fairness the schedulable set is empty only when
-      // ES is, so this is a genuine deadlock, never a false one.
-      if (Explain)
-        for (Tid B : RT.liveSet()) {
-          const PendingOp P = RT.pendingOf(B);
-          obs::ExplainBlocked BB;
-          BB.Thread = B;
-          BB.ThreadName = RT.threadName(B);
-          BB.Op = P.Kind;
-          if (P.ObjectId >= 0)
-            BB.Object = RT.objectName(P.ObjectId);
-          Explain->Blocked.push_back(std::move(BB));
-        }
-      std::string Blocked;
-      for (Tid T : RT.liveSet())
-        Blocked += " " + RT.threadName(T);
-      reportBug(Verdict::Deadlock, "deadlock: blocked threads:" + Blocked,
-                RT, CurSteps);
-      return ExecEnd::Bug;
-    }
-
-    ThreadSet Allowed = Opts.Fair ? FS.allowed(ES) : ES;
-
-    SchedContext C;
-    C.Enabled = ES;
-    C.Allowed = Allowed;
-    C.Prev = Prev;
-    C.PrevEnabled = Prev >= 0 && ES.contains(Prev);
-    C.PrevAllowed = Prev >= 0 && Allowed.contains(Prev);
-    C.PrevAtYield = Prev >= 0 && RT.yieldPending(Prev);
-    C.Step = CurSteps;
-    C.PreemptionsUsed = Preemptions;
-
-    CandidateSet Cands = Strategy->candidates(C);
-    assert(!Cands.Set.empty() && "strategy returned no candidates");
-    assert(Cands.Set.isSubsetOf(Allowed) &&
-           "strategy candidates must respect the priority order");
-    if (Opts.DepthBound > 0 && CurSteps >= Opts.DepthBound) {
-      // Past the depth bound: random, non-branching picks (Section 4.2.1).
-      Cands.Backtrack = false;
-      Cands.PickRandom = true;
-    }
-    uint64_t SleepMaskHere = 0;
-    if (Opts.Por) {
-      ThreadSet Sleeping = Cands.Set & Sleep;
-      if (!Sleeping.empty()) {
-        Result.Stats.PorSleepHits += Sleeping.size();
-        if (Ctr)
-          Ctr->add(obs::Counter::PorSleepHits, Sleeping.size());
-        if (Prof)
-          // Attribute the filtered candidates to the op class they would
-          // have performed: where the reduction is earning its keep.
-          for (Tid S : Sleeping)
-            Prof->notePorSleep(unsigned(RT.pendingOf(S).Kind));
-        Cands.Set -= Sleeping;
-        if (Cands.Set.empty()) {
-          if (Opts.Fair) {
-            // Fairness-interaction rule (docs/POR.md): under the fair
-            // scheduler the sleepers are the only fairness-allowed
-            // choices left, and dropping them would discard schedules
-            // the fairness guarantee (Theorem 1) depends on -- so they
-            // are woken, never dropped. Without fairness the classical
-            // prune below is sound: the subtree only permutes moves an
-            // already-explored sibling branch covers.
-            Cands.Set = Sleeping;
-            Sleep -= Sleeping;
-            Result.Stats.PorFairWakes += Sleeping.size();
-            if (Ctr)
-              Ctr->add(obs::Counter::PorFairWakes, Sleeping.size());
-          } else {
-            // Every schedulable move sleeps: this state's subtree is
-            // covered by an equivalent interleaving elsewhere. Not a
-            // deadlock. The pruned path's estimator mass is credited
-            // here, at the prune site, so the subtree the reduction cuts
-            // can never drop out of the weighted-backtrack sum.
-            finishStats("por_pruned");
-            ++Result.Stats.PorBranchesPruned;
-            if (Ctr)
-              Ctr->add(obs::Counter::PorBranchesPruned);
-            creditEstimateMass();
-            return ExecEnd::Pruned;
-          }
-        }
-      }
-      SleepMaskHere = Sleep.rawBits();
-    }
-
-    // Flush-agent bits of the candidate set (--memory=tso|pso): recorded
-    // on the stack and in schedules so replay under a different memory
-    // model -- where the same choice indices would name different
-    // threads -- diverges instead of silently exploring another
-    // interleaving. Always zero under sc, so sc output is unchanged.
-    uint64_t FlushMaskHere = 0;
-    if (Opts.Memory != MemoryModel::Sc)
-      FlushMaskHere = Cands.Set.rawBits() &
-                      ~((uint64_t(1) << Runtime::FlushBase) - 1);
-
-    bool Replaying = Cursor < ReplayLen;
-    if (!ReplayDone && !Replaying) {
-      ReplayEndT = std::chrono::steady_clock::now();
-      ReplayDone = true;
-      SnapNsReplay = SnapNs;
-    }
-    int Idx = pickIndex(Cands.Set.size(), Cands.Backtrack, Cands.PickRandom,
-                        SleepMaskHere, FlushMaskHere);
-    if (ReplayMismatch) {
-      // Nondeterminism beyond scheduling/chooseInt. A mismatch can only
-      // fire in the replay region, so the stack is exactly as it was at
-      // the start of the execution: the driver retries it verbatim up to
-      // Opts.DivergenceRetries times before discarding the subtree.
-      finishStats("diverged", /*HarvestRaces=*/false);
-      return ExecEnd::Diverged;
-    }
-    Tid T = nthMember(Cands.Set, Idx);
-
-    // Preemption accounting (Section 4): switching away from an enabled
-    // previous thread costs one preemption unless the fair scheduler
-    // excluded it (PrevAllowed false) or it sits at a voluntary yield.
-    if (T != Prev && C.PrevEnabled && C.PrevAllowed && !C.PrevAtYield) {
-      ++Preemptions;
-      ++Result.Stats.Preemptions;
-      if (Ctr)
-        Ctr->add(obs::Counter::Preemptions);
-    }
-
-    const PendingOp Op = RT.pendingOf(T); // Copy: step() replaces it.
-    bool WasYield = Op.isYield();
-    CurTrace.record(
-        {T, Op.Kind, Op.ObjectId, Op.Aux, RT.annotationOf(T), WasYield});
-    // "Others enabled" feeds the good-samaritan monitor, which reasons
-    // about *program* threads: a flush agent being enabled (someone's
-    // buffer is non-empty) must not turn a spinning thread into a
-    // violator. Gated on the memory model -- under sc the high tids are
-    // ordinary threads and masking them would be wrong.
-    ThreadSet RealES = ES;
-    if (Opts.Memory != MemoryModel::Sc)
-      RealES = ES & ThreadSet::firstN(Runtime::FlushBase);
-    bool OthersEnabled = !(RealES - ThreadSet::singleton(T)).empty();
-
-    if (Prof && !Replaying && Cands.Backtrack && Cands.Set.size() >= 2) {
-      // A fresh scheduling branch point: attribute the alternatives it
-      // opened to the executed operation's class and object.
-      Prof->noteBranch(unsigned(Op.Kind), Cands.Set.size(), CurSteps);
-      if (Op.ObjectId >= 0)
-        Prof->noteObject(RT.objectName(Op.ObjectId), Cands.Set.size());
-    }
-    if (Explain) {
-      obs::ExplainStep S;
-      S.Thread = T;
-      S.ThreadName = RT.threadName(T);
-      S.Op = Op.Kind;
-      if (Op.ObjectId >= 0)
-        S.Object = RT.objectName(Op.ObjectId);
-      S.Annotation = RT.annotationOf(T);
-      S.WasYield = WasYield;
-      S.EnabledMask = ES.rawBits();
-      S.SleepMask = SleepMaskHere;
-      S.Choices = Cands.Set.size();
-      S.ChosenIdx = Idx;
-      Explain->Steps.push_back(std::move(S));
-    }
-
-    if (Opts.Por && Cands.Backtrack) {
-      // Siblings tried before this choice (indices < Idx) have fully
-      // explored subtrees; their moves sleep below this transition.
-      int K = 0;
-      for (Tid Sib : Cands.Set) {
-        if (K++ >= Idx)
-          break;
-        // Fairness-interaction rule (docs/POR.md): yield transitions are
-        // never put to sleep under the fair scheduler. Yields commute
-        // with every operation, so a sleeping yield would sleep forever
-        // -- but Algorithm 1's priority bookkeeping depends on *which*
-        // thread executes the yield, so commuted branches are not
-        // fair-equivalent and may not stand in for each other.
-        if (Opts.Fair && RT.yieldPending(Sib))
-          continue;
-        Sleep.insert(Sib);
-      }
-    }
-
-    StepStatus St;
-    if (TimeSteps) {
-      auto T0 = std::chrono::steady_clock::now();
-      St = RT.step(T);
-      Ctr->addLatencyNs(uint64_t(std::chrono::duration_cast<
-                                     std::chrono::nanoseconds>(
-                                     std::chrono::steady_clock::now() - T0)
-                                     .count()));
-    } else {
-      St = RT.step(T);
-    }
-    ++CurSteps;
-    ++Result.Stats.Transitions;
-    if (Ctr) {
-      ++ObsClock;
-      Ctr->add(obs::Counter::Transitions);
-      Ctr->addOp(unsigned(Op.Kind));
-      if (Replaying)
-        Ctr->add(obs::Counter::ReplaySteps);
-      if (TraceT) {
-        obs::ObsEvent E; // Kind defaults to Transition.
-        E.Thread = T;
-        E.Ts = ObsClock - 1;
-        E.Dur = 1;
-        E.Op = Op.Kind;
-        E.Object = Op.ObjectId;
-        E.ArgA = CurSteps - 1;
-        emitEvent(E);
-      }
-    }
-
-    if (ReplayMismatch) {
-      // A chooseInt inside this transition mismatched its recording. The
-      // whole execution is poisoned -- later choices were misapplied --
-      // so divergence outranks anything the transition appeared to do,
-      // including failing an assertion or ending the program.
-      finishStats("diverged", /*HarvestRaces=*/false);
-      return ExecEnd::Diverged;
-    }
-
-    if (St == StepStatus::Failed) {
-      finishStats("bug");
-      reportBug(Verdict::SafetyViolation, RT.failureMessage(), RT, CurSteps);
-      return ExecEnd::Bug;
-    }
-
-    if (RaceD && Opts.Races == RaceCheckMode::Fatal &&
-        !RaceD->races().empty()) {
-      // Fatal mode: a race ends the execution like a safety violation
-      // (finishStats already harvested it as an incident too).
-      finishStats("bug");
-      reportBug(Verdict::DataRace, RaceD->races().front().Message, RT,
-                CurSteps);
-      return ExecEnd::Bug;
-    }
-
-    ThreadSet ESAfter = RT.enabledSet();
-    if (Opts.Fair)
-      FS.onTransition(T, ES, ESAfter, WasYield);
-
-    if (TraceT && Opts.Fair) {
-      // Priority-edge churn as instant events at this transition's tick;
-      // removal (line 13) happens before addition (line 25).
-      uint64_t RemD = FS.edgeRemovals() - LastEdgeRemovals;
-      uint64_t AddD = FS.edgeAdditions() - LastEdgeAdds;
-      LastEdgeRemovals = FS.edgeRemovals();
-      LastEdgeAdds = FS.edgeAdditions();
-      if (RemD) {
-        obs::ObsEvent E;
-        E.Kind = obs::EventKind::FairEdgeRemove;
-        E.Thread = T;
-        E.Ts = ObsClock - 1;
-        E.ArgA = RemD;
-        E.ArgB = CurSteps - 1;
-        emitEvent(E);
-      }
-      if (AddD) {
-        obs::ObsEvent E;
-        E.Kind = obs::EventKind::FairEdgeAdd;
-        E.Thread = T;
-        E.Ts = ObsClock - 1;
-        E.ArgA = AddD;
-        E.ArgB = CurSteps - 1;
-        emitEvent(E);
-      }
-    }
-
-    if (Opts.Por) {
-      // Wake every sleeper whose pending move conflicts with the executed
-      // operation: the orders now differ in observable effect. The
-      // dependence oracle (core/Dependence.h) is tid-aware -- a sleeping
-      // Join(t) wakes on any transition executed by t, and on nothing
-      // else t-related.
-      Sleep.erase(T);
-      for (Tid S : Sleep)
-        if (!RT.liveSet().contains(S) ||
-            !independentTransitions(S, RT.pendingOf(S), T, Op))
-          Sleep.erase(S);
-    }
-
-    // Flush agents are exempt from liveness accounting: they never yield
-    // by design, so feeding their transitions to the monitor would trip
-    // the eager good-samaritan bound on behalf of a pseudo-thread the
-    // workload cannot fix.
-    if (!Runtime::isFlushAgent(T))
-      Monitor.onTransition(T, WasYield, OthersEnabled);
-    if (Opts.DetectDivergence && Monitor.eagerGsViolator() >= 0) {
-      Tid V = Monitor.eagerGsViolator();
-      finishStats("bug");
-      reportBug(Verdict::GoodSamaritanViolation,
-                "good samaritan violation: thread " + RT.threadName(V) +
-                    " ran " + std::to_string(Opts.GoodSamaritanBound) +
-                    " transitions without yielding while other threads "
-                    "were enabled",
-                RT, CurSteps);
-      return ExecEnd::Bug;
-    }
-
-    if (Opts.TrackCoverage || Opts.StatefulPruning) {
-      std::chrono::steady_clock::time_point SnapT0;
-      if (PhaseT)
-        SnapT0 = std::chrono::steady_clock::now();
-      uint64_t Sig = RT.stateSignature();
-      if (SeenStates.insert(Sig)) {
-        if (LogStates)
-          StateLog.push_back(Sig);
-      } else {
-        ++Result.Stats.StateHits;
-      }
-      if (PhaseT)
-        SnapNs += uint64_t(std::chrono::duration_cast<
-                               std::chrono::nanoseconds>(
-                               std::chrono::steady_clock::now() - SnapT0)
-                               .count());
-      // Pruning decisions are made only beyond the replayed prefix; the
-      // prefix's states were inserted by the earlier execution that
-      // explored it.
-      if (Opts.StatefulPruning && Cursor >= ReplayLen) {
-        // The visited key must be finite for the reference search to
-        // terminate on cyclic state spaces: include the preemption budget
-        // only when a context bound caps it. Under a context bound the
-        // continuation also depends on which thread just ran (switching
-        // away from it is what costs), so the key includes it too --
-        // otherwise the reference search prunes paths whose futures
-        // differ and undercounts the total.
-        uint64_t Key = Sig;
-        if (Opts.Kind == SearchKind::ContextBounded) {
-          Key ^= hashU64(0x5157ULL + uint64_t(Preemptions));
-          Tid NewPrev = St == StepStatus::Finished ? -1 : T;
-          Key ^= hashU64(0xc0117e87ULL * uint64_t(NewPrev + 2));
-        }
-        if (!PruneKeys.insert(Key)) {
-          finishStats("pruned");
-          ++Result.Stats.PrunedExecutions;
-          if (Ctr)
-            Ctr->add(obs::Counter::StatefulPrunes);
-          creditEstimateMass(); // At the prune site; see the POR prune.
-          return ExecEnd::Pruned;
-        }
-      }
-    }
-
-    if (CutAtDepth && CurSteps >= Opts.DepthBound) {
-      finishStats("abandoned");
-      ++Result.Stats.NonterminatingExecutions;
-      if (Ctr)
-        Ctr->add(obs::Counter::NonterminatingExecutions);
-      return ExecEnd::Abandoned;
-    }
-
-    uint64_t Cap = Opts.ExecutionBound;
-    if (Opts.DepthBound > 0 && Opts.RandomTail)
-      Cap = Opts.DepthBound + Opts.RandomTailCap;
-    if (Cap > 0 && CurSteps >= Cap) {
-      if (Opts.DetectDivergence) {
-        finishStats("bug");
-        auto Div = LivenessMonitor::classifyDivergence(CurTrace, Cap / 2);
-        if (Obs && Obs->sink()) {
-          obs::ObsEvent E;
-          E.Kind = obs::EventKind::Divergence;
-          E.Ts = ObsClock;
-          E.ArgA = Result.Stats.Executions;
-          E.ArgB = CurSteps;
-          E.Detail = Div.IsGoodSamaritan ? "good_samaritan" : "livelock";
-          emitEvent(E);
-        }
-        reportBug(Div.IsGoodSamaritan ? Verdict::GoodSamaritanViolation
-                                      : Verdict::Livelock,
-                  Div.Summary, RT, CurSteps);
-        return ExecEnd::Bug;
-      }
-      finishStats("abandoned");
-      ++Result.Stats.NonterminatingExecutions;
-      if (Ctr)
-        Ctr->add(obs::Counter::NonterminatingExecutions);
-      return ExecEnd::Abandoned;
-    }
-
-    if ((CurSteps & 0xfff) == 0) {
-      if (Opts.InterruptFlag &&
-          Opts.InterruptFlag->load(std::memory_order_relaxed)) {
-        finishStats("abandoned", /*HarvestRaces=*/false);
-        return ExecEnd::Interrupted;
-      }
-      if (timeExceeded()) {
-        finishStats("abandoned");
-        Result.Stats.TimedOut = true;
-        return ExecEnd::Abandoned;
-      }
-    }
-
-    Prev = (St == StepStatus::Finished) ? -1 : T;
+  // The controller steps the thread decide() picked. A real thread that
+  // parks has already run afterTransition and decide() in place (see
+  // onParked), so only thread exits, failures and flush agents stepped
+  // from here are accounted here.
+  Cur = &X;
+  bool Running = decide(X);
+  while (Running) {
+    Tid T = X.T;
+    StepStatus St = RT.step(T);
+    if (St == StepStatus::Parked && !Runtime::isFlushAgent(T))
+      Running = X.End == EndCause::None;
+    else
+      Running = afterTransition(X, St) && decide(X);
   }
+  Cur = nullptr;
+  return finishExecution(X);
 }
 
 CheckResult Explorer::run() {

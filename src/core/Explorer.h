@@ -56,6 +56,8 @@ class StackPool;
 /// Drives the whole search for one checker run. Also serves as the
 /// ChoiceSource that resolves Runtime::chooseInt data choices, so both
 /// scheduling and data nondeterminism share one replayable choice stack.
+/// Its runtimes call its onParked at every schedule point, so a thread the
+/// scheduler picks again runs on without a fiber switch.
 class Explorer final : public ChoiceSource {
 public:
   Explorer(const TestProgram &Program, const CheckerOptions &Opts);
@@ -212,7 +214,30 @@ private:
     uint64_t FlushMask = 0;
   };
 
+  enum class EndCause;
+  struct ExecState;
+
   ExecEnd runOneExecution();
+  /// Picks the next transition of execution \p X into X.T, with its
+  /// bookkeeping (choice stack, trace, preemptions, sleep set). \returns
+  /// false, with X.End set, when the execution ends instead.
+  bool decide(ExecState &X);
+  /// Accounts for the transition X.T that just ran and ended in \p St:
+  /// counters, the fair scheduler, POR wakes, liveness, coverage and the
+  /// bounds. \returns false, with X.End set, when the execution ends.
+  bool afterTransition(ExecState &X, StepStatus St);
+  /// ChoiceSource: afterTransition and decide on the parked thread's
+  /// stack.
+  Tid onParked() override;
+  /// Runs the epilogue of X.End on the controller's stack: stats, events,
+  /// the bug report or the divergence classification.
+  ExecEnd finishExecution(ExecState &X);
+  /// The per-execution totals every end folds into the run; \p EndDetail
+  /// is the stable wire name of the end class for the ExecutionEnd event.
+  void finishStats(ExecState &X, const char *EndDetail,
+                   bool HarvestRaces = true);
+  /// Transitions after which an execution counts as divergent (0: none).
+  uint64_t executionCap() const;
   /// Folds one finished execution's detector results into the run:
   /// RacesChecked, and one deduplicated DataRace incident per novel race
   /// (keyed by the interleaving-independent report message).
@@ -308,6 +333,8 @@ private:
   U64Set PruneKeys;
   uint64_t CurExecution = 0;
   uint64_t CurSteps = 0;
+  /// The execution in progress, for onParked.
+  ExecState *Cur = nullptr;
   std::chrono::steady_clock::time_point StartTime;
 };
 

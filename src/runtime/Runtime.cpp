@@ -103,6 +103,7 @@ void Runtime::exitThread(ThreadState &TS) {
 }
 
 void Runtime::switchToController(ThreadState &TS) {
+  ++ControllerEntries;
   InController = true;
   Fiber::switchTo(TS.F, Controller);
   // Execution resumes here when the scheduler picks this thread again.
@@ -186,6 +187,7 @@ void Runtime::reset(const Options &NewOpts) {
   SyncOps = 0;
   BufferedStores = 0;
   StoreFlushes = 0;
+  ControllerEntries = 0;
   FlushNames.clear();
   InController = true;
   StateExtractor = nullptr;
@@ -200,7 +202,8 @@ void Runtime::schedulePoint(const PendingOp &Op) {
     ++SyncOps;
   if (Opts.Ctr)
     Opts.Ctr->add(obs::Counter::SchedulePoints);
-  switchToController(TS);
+  if (!continueInPlace(TS))
+    switchToController(TS);
   // The scheduler picked this thread; its visible operation is about to
   // take effect. Fencing operations (docs/MEMORY.md) drain the store
   // buffer first, so e.g. a mutex acquire never completes with the
@@ -209,6 +212,18 @@ void Runtime::schedulePoint(const PendingOp &Op) {
     drainBuffer(TS.Id);
   assert(TS.Pending.isEnabled() &&
          "scheduler resumed a thread whose pending op is disabled");
+}
+
+bool Runtime::continueInPlace(ThreadState &TS) {
+  while (true) {
+    Tid Next = Choices.onParked();
+    if (Next == TS.Id)
+      return true;
+    if (Next < 0 || !isFlushAgent(Next))
+      return false;
+    // Same as step() on an agent: one commit, nothing else runs.
+    flushStep(Next - FlushBase);
+  }
 }
 
 int Runtime::chooseInt(int N) {
@@ -477,9 +492,10 @@ bool Runtime::yieldPending(Tid T) const {
 StepStatus Runtime::step(Tid T) {
   assert(InController && "step must be called from the controller");
   if (isFlushAgent(T)) {
-    // Flush transitions run entirely in the controller: no fiber switch,
+    // Flush transitions run wherever the scheduler is: no fiber switch,
     // no invisible code -- one buffered store commits, and the agent
     // "parks" again (or leaves the enabled set if the buffer emptied).
+    // continueInPlace runs them the same way on a thread's stack.
     flushStep(T - FlushBase);
     return StepStatus::Parked;
   }

@@ -10,10 +10,15 @@
 /// pending visible operations, and the bookkeeping the explorer needs to
 /// drive Algorithm 1 (enabled set, yield predicate, per-thread annotations).
 ///
-/// The runtime is *passive*: it exposes `enabledSet()` and `step(t)` and
-/// leaves every scheduling decision -- fairness, search strategy, choice
-/// enumeration -- to the core library. This mirrors the paper's split
+/// The runtime makes no scheduling decision of its own: it exposes
+/// `enabledSet()` and `step(t)` and leaves fairness, search strategy and
+/// choice enumeration to the core library. This mirrors the paper's split
 /// between the program model (Section 3, `NextState`) and the scheduler.
+/// Where the decision is made is the ChoiceSource's business, though:
+/// `schedulePoint` asks `ChoiceSource::onParked` on the parked thread's own
+/// stack, and the thread keeps running -- no fiber switch -- whenever the
+/// scheduler picks it again. Only a different thread, or the end of the
+/// execution, costs a trip to the controller.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +45,8 @@ struct WorkerCounters;
 class RaceDetector;
 class StackPool;
 
-/// Resolves nondeterministic choices that arise *inside* a transition.
+/// Resolves nondeterministic choices that arise *inside* a transition, and
+/// optionally the scheduling decision at a schedule point.
 ///
 /// Thread scheduling is the primary nondeterminism, handled by the explorer
 /// between transitions. Data nondeterminism (`Runtime::chooseInt`) is the
@@ -52,6 +58,18 @@ public:
   virtual ~ChoiceSource();
   /// \returns a value in [0, N) for a data choice among \p N alternatives.
   virtual int chooseInt(int N) = 0;
+  /// The scheduler, run at a schedule point on the parked thread's stack,
+  /// after its pending op is published, and again after each flush-agent
+  /// transition run in place. An override accounts for the transition that
+  /// just ended and decides the next one. \returns the thread to run next:
+  /// the parked thread itself (it continues with no fiber switch), a flush
+  /// agent (its store commits in place, then this is asked again), any
+  /// other thread -- the controller steps it next -- or -1 when the
+  /// execution is over. Either of the last two switches to the controller,
+  /// which must take the decision from here, not from step()'s status.
+  /// The default, -1, defers every decision to the controller: each
+  /// transition is then one controller round trip.
+  virtual Tid onParked() { return -1; }
 };
 
 /// Result of running one transition via Runtime::step.
@@ -243,6 +261,12 @@ public:
   uint64_t bufferedStoreCount() const { return BufferedStores; }
   uint64_t storeFlushCount() const { return StoreFlushes; }
 
+  /// Switches from a test thread back to the controller this execution:
+  /// one per step() when ChoiceSource::onParked defers to the controller;
+  /// else only at thread changes, thread exits, failures and the end of
+  /// the execution.
+  uint64_t controllerEntries() const { return ControllerEntries; }
+
   /// Signature of the current program state: the workload extractor's
   /// digest (if registered) combined with each thread's liveness, pending
   /// operation and annotation. Used for coverage counting and for the
@@ -263,6 +287,9 @@ private:
   static void threadEntry(void *Arg);
   [[noreturn]] void exitThread(ThreadState &TS);
   void switchToController(ThreadState &TS);
+  /// Asks ChoiceSource::onParked what runs after \p TS parks, stepping the flush
+  /// agents it picks in place. \returns true when it picks \p TS itself.
+  bool continueInPlace(ThreadState &TS);
 
   /// Commits every buffered store of thread \p T, oldest first. Called at
   /// fences, at fencing sync operations (drain-at-resume), at spawn (the
@@ -297,6 +324,7 @@ private:
   uint64_t SyncOps = 0;
   uint64_t BufferedStores = 0;
   uint64_t StoreFlushes = 0;
+  uint64_t ControllerEntries = 0;
   /// Lazily built display names of flush agents ("sb(main)", ...),
   /// indexed by owner tid; cleared on reset with the rest of the naming
   /// state. Mutable because threadName() is const.

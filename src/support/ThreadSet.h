@@ -61,7 +61,15 @@ public:
   }
 
   constexpr bool empty() const { return Bits == 0; }
-  constexpr int size() const { return std::popcount(Bits); }
+  /// Member count. An inline SWAR count rather than std::popcount, which
+  /// on the baseline x86-64 target (no -mpopcnt) is an out-of-line
+  /// libgcc call, and size() sits on the per-transition path.
+  constexpr int size() const {
+    uint64_t X = Bits - ((Bits >> 1) & 0x5555555555555555ULL);
+    X = (X & 0x3333333333333333ULL) + ((X >> 2) & 0x3333333333333333ULL);
+    X = (X + (X >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return int((X * 0x0101010101010101ULL) >> 56);
+  }
   constexpr bool contains(Tid T) const {
     assert(T >= 0 && T < MaxThreads && "tid out of range");
     return (Bits >> T) & 1;

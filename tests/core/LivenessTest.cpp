@@ -99,7 +99,12 @@ TEST(LivenessMonitor, RareThreadInSuffixIsNotASpinner) {
 }
 
 //===----------------------------------------------------------------------===
-// End-to-end liveness detection through the checker.
+// End-to-end liveness detection through the checker: Section 4.3's
+// findings (tests/paper/Section43Test.cpp adds the configurations
+// EXPERIMENTS.md reports). The pinned counts are hardware-independent:
+// the fair DFS visits executions in one deterministic order, so a change
+// to the scheduler, the explorer or divergence detection that moves any
+// of them fails here.
 //===----------------------------------------------------------------------===
 
 TEST(Liveness, SpinWithYieldIsFairTerminating) {
@@ -136,6 +141,7 @@ TEST(Liveness, DiningTryLockLivelockFound) {
   EXPECT_EQ(R.Kind, Verdict::Livelock);
   ASSERT_TRUE(R.Bug.has_value());
   EXPECT_NE(R.Bug->Message.find("livelock"), std::string::npos);
+  EXPECT_EQ(R.Stats.Executions, 1859u);
 }
 
 TEST(Liveness, PromiseStaleReadLivelockFound) {
@@ -147,6 +153,7 @@ TEST(Liveness, PromiseStaleReadLivelockFound) {
   CheckResult R = check(makePromiseProgram(C), O);
   EXPECT_EQ(R.Kind, Verdict::Livelock)
       << "Figure 8's stale read yields each lap: a fair livelock";
+  EXPECT_EQ(R.Stats.Executions, 1u);
 }
 
 TEST(Liveness, PromiseWithoutBugPasses) {
@@ -157,6 +164,8 @@ TEST(Liveness, PromiseWithoutBugPasses) {
   O.TimeBudgetSeconds = 60;
   CheckResult R = check(makePromiseProgram(C), O);
   EXPECT_EQ(R.Kind, Verdict::Pass);
+  EXPECT_TRUE(R.Stats.SearchExhausted);
+  EXPECT_EQ(R.Stats.Executions, 196u);
 }
 
 TEST(Liveness, WorkerGroupShutdownSpinDetected) {
@@ -169,6 +178,7 @@ TEST(Liveness, WorkerGroupShutdownSpinDetected) {
   CheckResult R = check(makeWorkerGroupProgram(C), O);
   EXPECT_EQ(R.Kind, Verdict::GoodSamaritanViolation)
       << "Figure 7's stop-flag window must surface as a GS violation";
+  EXPECT_EQ(R.Stats.Executions, 12u);
 }
 
 TEST(Liveness, FixedWorkerGroupHasNoSpin) {
@@ -182,6 +192,8 @@ TEST(Liveness, FixedWorkerGroupHasNoSpin) {
   O.MaxExecutions = 30000;
   CheckResult R = check(makeWorkerGroupProgram(C), O);
   EXPECT_EQ(R.Kind, Verdict::Pass);
+  EXPECT_EQ(R.Stats.Executions, 30000u);
+  EXPECT_EQ(R.Stats.Transitions, 1570380u);
 }
 
 TEST(Liveness, DivergenceDetectionCanBeDisabled) {

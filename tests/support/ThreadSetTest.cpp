@@ -143,3 +143,41 @@ TEST_P(ThreadSetPropertyTest, AlgebraLaws) {
     EXPECT_FALSE((A - B).intersects(B));
   }
 }
+
+/// Property: the inline SWAR size() agrees with a bit-by-bit count on
+/// random masks of every density, and on the dense and sparse extremes.
+TEST_P(ThreadSetPropertyTest, SizeMatchesBitLoop) {
+  Xorshift Rng(GetParam() * 104729);
+  auto Check = [](uint64_t Mask) {
+    ThreadSet S;
+    int Count = 0;
+    for (Tid T = 0; T < MaxThreads; ++T)
+      if ((Mask >> T) & 1) {
+        S.insert(T);
+        ++Count;
+      }
+    ASSERT_EQ(S.rawBits(), Mask);
+    EXPECT_EQ(S.size(), Count) << "mask " << Mask;
+  };
+  for (int Iter = 0; Iter < 500; ++Iter) {
+    uint64_t Mask = Rng.next();
+    // Thin or thicken the word so every population from 0 to 64 occurs.
+    switch (Iter % 4) {
+    case 1:
+      Mask &= Rng.next() & Rng.next();
+      break;
+    case 2:
+      Mask |= Rng.next() | Rng.next();
+      break;
+    case 3:
+      Mask &= ~uint64_t(0) >> Rng.nextBelow(MaxThreads);
+      break;
+    }
+    Check(Mask);
+  }
+  Check(0);
+  Check(~uint64_t(0));
+  Check(0x5555555555555555ULL);
+  Check(0xaaaaaaaaaaaaaaaaULL);
+  Check(uint64_t(1) << 63);
+}

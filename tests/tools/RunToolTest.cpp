@@ -168,6 +168,27 @@ TEST_F(RunTool, ExitCodesMatchTheContract) {
             3);
 }
 
+TEST_F(RunTool, HelpPrintsUsageToStdoutAndExitsZero) {
+  for (const char *Flag : {"--help", "-h"}) {
+    SCOPED_TRACE(Flag);
+    std::string Out, Err;
+    EXPECT_EQ(runCapture({Flag}, Dir, Out), 0);
+    EXPECT_TRUE(contains(Out, "usage: fsmc_run --program=<name>"));
+    EXPECT_TRUE(contains(Out, "exit codes:"));
+    EXPECT_EQ(runCapture({Flag}, Dir, Err, /*Fd=*/2), 0);
+    EXPECT_EQ(Err, "");
+  }
+  // Anywhere on the line, and ahead of whatever else is wrong with it.
+  EXPECT_EQ(run({"--program=does-not-exist", "--help"}), 0);
+  EXPECT_EQ(run({"--cb=abc", "--help"}), 0);
+  EXPECT_EQ(run({"--no-such-flag", "-h"}), 0);
+  // A usage error still prints the usage, to stderr, and exits 2.
+  std::string Err;
+  EXPECT_EQ(runCapture({"--no-such-flag"}, Dir, Err, /*Fd=*/2), 2);
+  EXPECT_TRUE(contains(Err, "unknown option: --no-such-flag"));
+  EXPECT_TRUE(contains(Err, "usage: fsmc_run"));
+}
+
 TEST_F(RunTool, SigintWritesCheckpointAndHonestStats) {
   // Launch an effectively unbounded search, interrupt it, and assert the
   // documented contract: exit code 5, a loadable checkpoint, and a

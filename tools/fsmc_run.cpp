@@ -250,126 +250,131 @@ bool parseSecondsFlag(const char *Flag, const char *V, bool AllowZero,
   return true;
 }
 
+void printUsage(OutStream &OS) {
+  OS << "usage: fsmc_run --program=<name> [options]\n"
+        "       fsmc_run --list [--stats-json=FILE|-]\n"
+        "       fsmc_run --help\n\n"
+        "search options:\n"
+        "  --cb=N           context-bounded search with N preemptions\n"
+        "  --iterative=N    iterative context bounding up to N\n"
+        "  --random         random-walk search\n"
+        "  --unfair         disable the fair scheduler\n"
+        "  --depth=N        depth bound (with --unfair: the baseline "
+        "mode)\n"
+        "  --bound=N        execution bound for divergence detection\n"
+        "  --executions=N   cap on executions\n"
+        "  --jobs=N         parallel search with N worker threads "
+        "(N <= 256)\n"
+        "  --seconds=S      time budget\n"
+        "  --seed=N         PRNG seed\n"
+        "  --yieldk=N       process every k-th yield (N >= 1)\n"
+        "  --por=on|off     sleep-set partial-order reduction "
+        "(docs/POR.md;\n"
+        "                   default off)\n"
+        "  --memory=MODEL   sc (default) | tso | pso: explore under a "
+        "weak\n"
+        "                   memory model with per-thread store buffers "
+        "whose\n"
+        "                   flushes are schedule points (docs/MEMORY.md;\n"
+        "                   wsq-bug1 needs --memory=tso to manifest)\n"
+        "  --replay=SCHED   replay a recorded schedule (an fsmc1:... "
+        "string\n"
+        "                   or the path of a file holding one)\n\n"
+        "robustness options (docs/ROBUSTNESS.md):\n"
+        "  --isolate=MODE   off (default) | batch: run executions in a "
+        "worker\n"
+        "                   process so workload crashes/hangs are "
+        "harvested,\n"
+        "                   not fatal\n"
+        "  --batch-size=N   executions per leased work unit (default 64)\n"
+        "  --hang-timeout=S worker watchdog: kill a worker that finishes "
+        "no\n"
+        "                   execution for S seconds (default 10)\n"
+        "  --divergence-retries=N  retries before a mismatching "
+        "prefix is\n"
+        "                   discarded as a divergence (default 3)\n"
+        "  --checkpoint=F   write a resumable checkpoint to F on "
+        "SIGINT/\n"
+        "                   SIGTERM (and periodically, see below)\n"
+        "  --checkpoint-every=K    also checkpoint every K "
+        "executions\n"
+        "  --resume=F       continue the search recorded in "
+        "checkpoint F\n"
+        "  --repro-dir=D    write every bug/crash/hang schedule "
+        "under D as\n"
+        "                   a file --replay accepts\n"
+        "  --races=MODE     off (default) | on: report happens-before "
+        "data\n"
+        "                   races as incidents without changing the "
+        "search |\n"
+        "                   fatal: stop at the first race like a bug "
+        "(docs/\n"
+        "                   RACES.md)\n\n"
+        "fleet options (docs/FLEET.md):\n"
+        "  --fleet=N        supervised multi-process search: a "
+        "coordinator\n"
+        "                   forks N (<= 256) long-lived workers, "
+        "re-issues the\n"
+        "                   units of crashed/hung workers and degrades "
+        "gracefully\n"
+        "                   (mutually exclusive with --jobs/--isolate="
+        "batch/\n"
+        "                   --random; the fsmc_fleet binary defaults "
+        "this)\n"
+        "  --fleet-batch=N  same as --batch-size\n"
+        "  --fleet-quarantine=K    quarantine a unit after K "
+        "consecutive\n"
+        "                   fatal attempts as a replayable crash "
+        "incident\n"
+        "                   (default 3)\n\n"
+        "observability options:\n"
+        "  --stats-json=F   machine-readable run report to file F "
+        "('-' = stdout)\n"
+        "  --trace-out=F    Chrome trace_event JSONL trace to file F "
+        "(Perfetto-loadable;\n"
+        "                   '-' = stdout)\n"
+        "  --progress[=S]   live status line to stderr every S seconds "
+        "(default 1)\n"
+        "  --estimate       online tree-size estimation: progress % "
+        "and projected\n"
+        "                   total executions in the progress line and "
+        "stats-json\n"
+        "                   (docs/OBSERVABILITY.md)\n"
+        "  --profile-search schedule-point hotspot profile (per-op/"
+        "per-object\n"
+        "                   branch points) in stats-json\n"
+        "  --report=F       self-contained HTML search report to F "
+        "(implies\n"
+        "                   --profile-search)\n"
+        "  --explain=S      render schedule S (literal, file, or "
+        "--repro-dir\n"
+        "                   directory) as a thread-by-step timeline\n"
+        "  --coverage       track state signatures; adds the coverage "
+        "section\n"
+        "                   (distinct states, hit rate) to stats-json\n"
+        "  --step-timing    fill the per-transition latency histogram\n"
+        "  --timing         add the wall-clock timing block (elapsed_ms,\n"
+        "                   execs_per_sec) to --stats-json reports\n"
+        "  --phase-timing   split wall time into replay/execute/race-"
+        "check/\n"
+        "                   snapshot buckets (shown under timing with "
+        "--timing)\n"
+        "  --reuse=on|off   recycle runtime state and pooled fiber "
+        "stacks\n"
+        "                   across executions (default on; off is the\n"
+        "                   measurement baseline, docs/PERFORMANCE.md)\n"
+        "  --quiet          suppress the human-readable summary\n"
+        "  --verbose        also print the counter and per-op tables\n\n"
+        "exit codes: 0 = no bug found, 1 = bug found, 2 = usage "
+        "error,\n"
+        "            3 = workload crash, 4 = workload hang, "
+        "5 = interrupted,\n"
+        "            6 = replay divergence, 7 = data race,\n"
+        "            8 = corrupt/truncated checkpoint\n";
+}
+
 int usage() {
-  errs() << "usage: fsmc_run --program=<name> [options]\n"
-            "       fsmc_run --list [--stats-json=FILE|-]\n\n"
-            "search options:\n"
-            "  --cb=N           context-bounded search with N preemptions\n"
-            "  --iterative=N    iterative context bounding up to N\n"
-            "  --random         random-walk search\n"
-            "  --unfair         disable the fair scheduler\n"
-            "  --depth=N        depth bound (with --unfair: the baseline "
-            "mode)\n"
-            "  --bound=N        execution bound for divergence detection\n"
-            "  --executions=N   cap on executions\n"
-            "  --jobs=N         parallel search with N worker threads "
-            "(N <= 256)\n"
-            "  --seconds=S      time budget\n"
-            "  --seed=N         PRNG seed\n"
-            "  --yieldk=N       process every k-th yield (N >= 1)\n"
-            "  --por=on|off     sleep-set partial-order reduction "
-            "(docs/POR.md;\n"
-            "                   default off)\n"
-            "  --memory=MODEL   sc (default) | tso | pso: explore under a "
-            "weak\n"
-            "                   memory model with per-thread store buffers "
-            "whose\n"
-            "                   flushes are schedule points (docs/MEMORY.md;\n"
-            "                   wsq-bug1 needs --memory=tso to manifest)\n"
-            "  --replay=SCHED   replay a recorded schedule (an fsmc1:... "
-            "string\n"
-            "                   or the path of a file holding one)\n\n"
-            "robustness options (docs/ROBUSTNESS.md):\n"
-            "  --isolate=MODE   off (default) | batch: run executions in a "
-            "worker\n"
-            "                   process so workload crashes/hangs are "
-            "harvested,\n"
-            "                   not fatal\n"
-            "  --batch-size=N   executions per leased work unit (default 64)\n"
-            "  --hang-timeout=S worker watchdog: kill a worker that finishes "
-            "no\n"
-            "                   execution for S seconds (default 10)\n"
-            "  --divergence-retries=N  retries before a mismatching "
-            "prefix is\n"
-            "                   discarded as a divergence (default 3)\n"
-            "  --checkpoint=F   write a resumable checkpoint to F on "
-            "SIGINT/\n"
-            "                   SIGTERM (and periodically, see below)\n"
-            "  --checkpoint-every=K    also checkpoint every K "
-            "executions\n"
-            "  --resume=F       continue the search recorded in "
-            "checkpoint F\n"
-            "  --repro-dir=D    write every bug/crash/hang schedule "
-            "under D as\n"
-            "                   a file --replay accepts\n"
-            "  --races=MODE     off (default) | on: report happens-before "
-            "data\n"
-            "                   races as incidents without changing the "
-            "search |\n"
-            "                   fatal: stop at the first race like a bug "
-            "(docs/\n"
-            "                   RACES.md)\n\n"
-            "fleet options (docs/FLEET.md):\n"
-            "  --fleet=N        supervised multi-process search: a "
-            "coordinator\n"
-            "                   forks N (<= 256) long-lived workers, "
-            "re-issues the\n"
-            "                   units of crashed/hung workers and degrades "
-            "gracefully\n"
-            "                   (mutually exclusive with --jobs/--isolate="
-            "batch/\n"
-            "                   --random; the fsmc_fleet binary defaults "
-            "this)\n"
-            "  --fleet-batch=N  same as --batch-size\n"
-            "  --fleet-quarantine=K    quarantine a unit after K "
-            "consecutive\n"
-            "                   fatal attempts as a replayable crash "
-            "incident\n"
-            "                   (default 3)\n\n"
-            "observability options:\n"
-            "  --stats-json=F   machine-readable run report to file F "
-            "('-' = stdout)\n"
-            "  --trace-out=F    Chrome trace_event JSONL trace to file F "
-            "(Perfetto-loadable;\n"
-            "                   '-' = stdout)\n"
-            "  --progress[=S]   live status line to stderr every S seconds "
-            "(default 1)\n"
-            "  --estimate       online tree-size estimation: progress %% "
-            "and projected\n"
-            "                   total executions in the progress line and "
-            "stats-json\n"
-            "                   (docs/OBSERVABILITY.md)\n"
-            "  --profile-search schedule-point hotspot profile (per-op/"
-            "per-object\n"
-            "                   branch points) in stats-json\n"
-            "  --report=F       self-contained HTML search report to F "
-            "(implies\n"
-            "                   --profile-search)\n"
-            "  --explain=S      render schedule S (literal, file, or "
-            "--repro-dir\n"
-            "                   directory) as a thread-by-step timeline\n"
-            "  --coverage       track state signatures; adds the coverage "
-            "section\n"
-            "                   (distinct states, hit rate) to stats-json\n"
-            "  --step-timing    fill the per-transition latency histogram\n"
-            "  --timing         add the wall-clock timing block (elapsed_ms,\n"
-            "                   execs_per_sec) to --stats-json reports\n"
-            "  --phase-timing   split wall time into replay/execute/race-"
-            "check/\n"
-            "                   snapshot buckets (shown under timing with "
-            "--timing)\n"
-            "  --reuse=on|off   recycle runtime state and pooled fiber "
-            "stacks\n"
-            "                   across executions (default on; off is the\n"
-            "                   measurement baseline, docs/PERFORMANCE.md)\n"
-            "  --quiet          suppress the human-readable summary\n"
-            "  --verbose        also print the counter and per-op tables\n\n"
-            "exit codes: 0 = no bug found, 1 = bug found, 2 = usage "
-            "error,\n"
-            "            3 = workload crash, 4 = workload hang, "
-            "5 = interrupted,\n"
-            "            6 = replay divergence, 7 = data race,\n"
-            "            8 = corrupt/truncated checkpoint\n";
+  printUsage(errs());
   return 2;
 }
 
@@ -616,6 +621,14 @@ int main(int Argc, char **Argv) {
   bool Timing = false;
   bool PhaseTiming = false;
   bool SeedSet = false;
+
+  // Help wins wherever it appears, ahead of any malformed flag.
+  for (int I = 1; I < Argc; ++I)
+    if (std::strcmp(Argv[I], "--help") == 0 ||
+        std::strcmp(Argv[I], "-h") == 0) {
+      printUsage(outs());
+      return 0;
+    }
 
   for (int I = 1; I < Argc; ++I) {
     const char *V = nullptr;

@@ -37,7 +37,8 @@ struct CheckpointUnit {
   std::vector<ScheduleChoice> Prefix;
   /// Leading records the resumed explorer must not advance or pop:
   /// Prefix.size() for a donated subtree prefix (the search is confined
-  /// below it), 0 for a serial DFS stack (every record is advanceable).
+  /// below it), 0 for a serial DFS stack (every record is advanceable),
+  /// anything between for a fleet continuation (docs/FLEET.md).
   size_t FrozenLen = 0;
 };
 

@@ -12,7 +12,7 @@
 //
 // The exactness invariant everything rests on: a worker commits an
 // attempt with ONE atomic UnitDone record carrying the attempt's stats,
-// bug, incidents, coverage delta and remainder prefixes. A worker that
+// bug, incidents, coverage delta and remainder units. A worker that
 // dies mid-attempt therefore commits nothing, and re-running the same
 // unit on another worker reproduces the identical deterministic attempt.
 // Committed stats plus pending units always describe exactly the
@@ -221,43 +221,61 @@ struct IssuedUnit {
   uint64_t Budget = 0;
   double TimeBudget = 0;
   uint64_t Rng = 0;
-  uint32_t FrozenLen = 0;
-  std::vector<ScheduleChoice> Prefix;
+  CheckpointUnit Work;
 };
 
 /// One attempt at a unit on a fresh serial explorer (unit-local stats).
 struct Attempt {
   const IssuedUnit &U;
   Explorer E;
-  std::vector<std::vector<ScheduleChoice>> Remainder;
+  std::vector<CheckpointUnit> Remainder;
 
   Attempt(const TestProgram &Program, const CheckerOptions &Opts,
           const IssuedUnit &U, StackPool *Pool)
       : U(U), E(Program, Opts) {
     if (Opts.ReuseExecutionState)
       E.setStackPool(Pool);
-    if (!U.Prefix.empty())
-      E.preloadScheduleFrozenPrefix(U.Prefix, U.FrozenLen);
+    if (!U.Work.Prefix.empty())
+      E.preloadScheduleFrozenPrefix(U.Work.Prefix, U.Work.FrozenLen);
     E.setRngState(U.Rng);
   }
 
   /// Runs the attempt, asking \p Stop(explorer, executions so far) after
-  /// every execution. On a stop the unexplored rest lands in Remainder:
-  /// every untried sibling as a frozen prefix or, for a random walk
-  /// (which has no siblings), the unit's own frozen prefix again.
+  /// every execution. On a stop the unexplored rest lands in Remainder.
   template <typename Fn> CheckResult run(bool RandomWalk, Fn Stop) {
     uint64_t Done = 0;
     E.setExecutionHook([&](Explorer &Ex) {
       if (!Stop(Ex, ++Done))
         return true;
-      if (RandomWalk)
-        Remainder.emplace_back(U.Prefix.begin(),
-                               U.Prefix.begin() + long(U.FrozenLen));
-      else
-        Ex.splitWork(Remainder, SIZE_MAX);
+      handBack(Ex, RandomWalk);
       return false;
     });
     return E.run();
+  }
+
+  /// The unexplored rest of a stopped unit, as few units as keep the DFS
+  /// order: the untried siblings of the shallowest record that has any,
+  /// each fully frozen, and one continuation -- the explorer's next stack
+  /// (Explorer::advanceStack), frozen through that record -- holding
+  /// everything deeper. The continuation sorts before the siblings, so
+  /// one worker still walks the serial DFS order. A random walk has no
+  /// siblings; its remainder is its own frozen prefix again.
+  void handBack(Explorer &Ex, bool RandomWalk) {
+    size_t Frozen = U.Work.FrozenLen;
+    if (RandomWalk) {
+      Remainder.push_back(
+          {{U.Work.Prefix.begin(), U.Work.Prefix.begin() + long(Frozen)},
+           Frozen});
+      return;
+    }
+    std::vector<std::vector<ScheduleChoice>> Siblings;
+    if (Ex.splitWork(Siblings, 1))
+      Frozen = Siblings.front().size();
+    std::vector<ScheduleChoice> Next = Ex.currentStackSnapshot();
+    if (advancePrefix(Next, Frozen, /*RandomWalk=*/false))
+      Remainder.push_back({std::move(Next), Frozen});
+    for (std::vector<ScheduleChoice> &P : Siblings)
+      Remainder.push_back({std::move(P), Frozen});
   }
 
   std::vector<uint64_t> sortedStates() const {
@@ -387,10 +405,13 @@ struct WorkerCtl {
       U.Budget = R.u64();
       U.TimeBudget = R.f64();
       U.Rng = R.u64();
-      U.FrozenLen = R.u32();
-      U.Prefix = R.choices();
-      if (R.Ok)
+      U.Work = R.unit();
+      if (R.Ok) {
         Units.push_back(std::move(U));
+        // A Stop read before this unit was for the previous attempt; one
+        // read after it is for this one, even when both arrive together.
+        StopReq = false;
+      }
       break;
     }
     case TagStop:
@@ -469,7 +490,6 @@ struct WorkerCtl {
     }
     IssuedUnit U = std::move(Ctl.Units.front());
     Ctl.Units.pop_front();
-    Ctl.StopReq = false; // a stale Stop must not kill the fresh attempt
 
     CheckerOptions AOpts = Cfg.Opts;
     AOpts.TimeBudgetSeconds = U.TimeBudget;
@@ -546,8 +566,8 @@ struct WorkerCtl {
       SS = A.sortedStates();
     W.states(SS.data(), SS.size());
     W.u32(uint32_t(A.Remainder.size()));
-    for (const std::vector<ScheduleChoice> &P : A.Remainder)
-      W.choices(P);
+    for (const CheckpointUnit &Rem : A.Remainder)
+      W.unit(Rem.Prefix, Rem.FrozenLen);
     if (Obs) // the whole attempt's counts; the next attempt starts at zero
       putCounters(W, Obs->drain());
     if (!writeRecord(UpFd, TagUnitDone, W))
@@ -804,20 +824,20 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
                            const std::vector<uint64_t> &UnitStates,
                            const obs::CounterSnapshot &Counts,
                            bool AttemptTimedOut,
-                           std::vector<std::vector<ScheduleChoice>> &&Rem,
+                           std::vector<CheckpointUnit> &&Rem,
                            uint64_t EndRng, bool Broadcast) {
-    if (Ctr)
+    if (Ctr) {
       Ctr->addDelta(Counts);
+      Ctr->add(obs::Counter::FleetUnits);
+    }
     uint64_t NewRaces = Totals.add(Part, UnitStates);
     if (Ctr && NewRaces)
       Ctr->add(obs::Counter::RacesFound, NewRaces);
     if (Part.Bug && Totals.offerBug(*Part.Bug) && Broadcast &&
         Opts.StopOnFirstBug)
       broadcastBestBug();
-    for (std::vector<ScheduleChoice> &P : Rem) {
-      size_t N = P.size();
-      LT.add(std::move(P), N);
-    }
+    for (CheckpointUnit &U : Rem)
+      LT.add(std::move(U.Prefix), U.FrozenLen);
     LT.commit(LeaseId);
     if (AttemptTimedOut)
       TimedOut = true;
@@ -835,9 +855,9 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
     Part.Incidents = getBugs(R);
     std::vector<uint64_t> UnitStates = R.states();
     uint32_t NRem = R.u32();
-    std::vector<std::vector<ScheduleChoice>> Rem;
+    std::vector<CheckpointUnit> Rem;
     for (uint32_t I = 0; I < NRem && R.Ok; ++I)
-      Rem.push_back(R.choices());
+      Rem.push_back(R.unit());
     obs::CounterSnapshot Counts = Ctr ? getCounters(R) : obs::CounterSnapshot();
     if (!R.Ok || LeaseId == 0 || LeaseId != W.LeaseId) {
       // Garbled commit: the worker is compromised; kill it and let the
@@ -1041,9 +1061,15 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
            Opts.InterruptFlag->load(std::memory_order_relaxed);
   };
 
+  // Idle workers are served round robin from the slot after the last one
+  // served, so no idle worker waits behind lower slots while units are
+  // scarce.
+  size_t NextSlot = 0;
   auto issueUnits = [&]() {
     double Now = elapsed();
-    for (size_t I = 0; I < Workers.size(); ++I) {
+    const size_t Start = NextSlot;
+    for (size_t K = 0; K < Workers.size(); ++K) {
+      const size_t I = (Start + K) % Workers.size();
       FleetWorker &W = Workers[I];
       if (!W.Alive || W.LeaseId)
         continue;
@@ -1078,9 +1104,9 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
         Wr.u64(Budget);
         Wr.f64(TimeBudget);
         Wr.u64(Rng);
-        Wr.u32(uint32_t(U->FrozenLen));
-        Wr.choices(U->Prefix);
+        Wr.unit(U->Prefix, U->FrozenLen);
         W.LeaseId = Id;
+        NextSlot = (I + 1) % Workers.size();
         W.Prog = Progress();
         if (!sendTo(W, TagUnit, Wr))
           break; // worker just died; reap fails the lease
@@ -1088,6 +1114,31 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
           (void)sendTo(W, TagBestBug, bestBugRecord());
         break; // one outstanding unit per worker
       }
+    }
+  };
+
+  // A worker idles while nothing is queued and another worker still holds
+  // a lease: ask that holder to stop early, so the remainder it hands back
+  // refills the queue. One request is outstanding at a time; it is spent
+  // once the asked worker commits or dies.
+  size_t StopSlot = 0;
+  uint64_t StopLease = 0;
+  auto feedIdleWorkers = [&]() {
+    if (StopLease && Workers[StopSlot].LeaseId == StopLease)
+      return;
+    StopLease = 0;
+    if (LT.queuedCount() > 0 || busyCount() == 0 ||
+        busyCount() == aliveCount())
+      return;
+    for (size_t I = 0; I < Workers.size(); ++I) {
+      FleetWorker &W = Workers[I];
+      if (!W.Alive || !W.LeaseId)
+        continue;
+      if (sendTo(W, TagStop, WireWriter())) {
+        StopSlot = I;
+        StopLease = W.LeaseId;
+      }
+      return;
     }
   };
 
@@ -1224,8 +1275,7 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
         continue;
       }
       IssuedUnit IU;
-      IU.Prefix = U->Prefix;
-      IU.FrozenLen = uint32_t(U->FrozenLen);
+      IU.Work = {U->Prefix, U->FrozenLen};
       IU.Rng = Rng;
       CheckerOptions AOpts = ChildOpts;
       AOpts.Obs = Local ? &*Local : nullptr;
@@ -1293,6 +1343,7 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
       continue;
     }
     issueUnits();
+    feedIdleWorkers();
     if (Ctr) {
       Ctr->setGauge(obs::Gauge::WorkQueueDepth, LT.queuedCount());
       Ctr->setGauge(obs::Gauge::ActiveWorkers, busyCount());

@@ -10,7 +10,9 @@
 /// of `u8 tag + u32 length + payload`, written and parsed with the helpers
 /// here. Both sides are the same process image (fork, no exec), so
 /// trivially-copyable payloads (SearchStats, ScheduleChoice) cross as raw
-/// bytes.
+/// bytes. A work unit crosses as its frozen length, then its prefix
+/// (WireWriter::unit / WireReader::unit), in both directions: the
+/// coordinator's lease and every remainder a worker hands back.
 ///
 /// Robustness contract (docs/FLEET.md): writeAll retries EINTR and
 /// finishes short writes; FrameParser tolerates arbitrarily fragmented
@@ -25,6 +27,7 @@
 #define FSMC_CORE_WIRE_H
 
 #include "core/Checker.h"
+#include "core/Checkpoint.h"
 #include "core/Schedule.h"
 
 #include <cerrno>
@@ -64,6 +67,11 @@ struct WireWriter {
     u32(uint32_t(N));
     if (N)
       raw(P, N * sizeof(uint64_t));
+  }
+  /// A work unit: its frozen length, then its prefix (WireReader::unit).
+  void unit(const std::vector<ScheduleChoice> &Prefix, size_t FrozenLen) {
+    u32(uint32_t(FrozenLen));
+    choices(Prefix);
   }
 };
 
@@ -174,6 +182,16 @@ struct WireReader {
     if (K)
       take(V.data(), K * sizeof(uint64_t));
     return V;
+  }
+  /// A unit written by WireWriter::unit. A frozen length past the end of
+  /// the prefix names no subtree, so it marks the reader bad.
+  CheckpointUnit unit() {
+    CheckpointUnit U;
+    U.FrozenLen = u32();
+    U.Prefix = choices();
+    if (U.FrozenLen > U.Prefix.size())
+      Ok = false;
+    return U;
   }
 };
 

@@ -105,9 +105,10 @@ enum class CounterOwner {
   /* Plain accesses race-checked (--races=on); distinct races found.      */ \
   X(RacesChecked, "races_checked", OmitAtZero, Search)                       \
   X(RacesFound, "races_found", OmitAtZero, Coordinator)                      \
-  /* Fleet mode (docs/FLEET.md): worker processes that died, units        */ \
-  /* leased again after a death, replacement workers forked, units        */ \
-  /* quarantined.                                                         */ \
+  /* Fleet mode (docs/FLEET.md): units whose attempt was committed,       */ \
+  /* worker processes that died, units leased again after a death,        */ \
+  /* replacement workers forked, units quarantined.                       */ \
+  X(FleetUnits, "fleet_units", OmitAtZero, Coordinator)                      \
   X(FleetWorkerCrashes, "fleet_worker_crashes", OmitAtZero, Coordinator)     \
   X(FleetReissues, "fleet_reissues", OmitAtZero, Coordinator)                \
   X(FleetRespawns, "fleet_respawns", OmitAtZero, Coordinator)                \

@@ -207,10 +207,13 @@ public:
 
   /// Registers the workload's manual state-extraction function (Section
   /// 4.2.1: "we manually added facilities to extract states"). The
-  /// callback is invoked from the controller after every transition while
-  /// the execution is alive; it must only read workload state. Because
-  /// extractors typically read locals of the registering thread, the
-  /// runtime automatically drops the extractor when that thread finishes.
+  /// callback is invoked after every transition while the execution is
+  /// alive, through stateSignature: on the controller's stack, or on the
+  /// stack of the thread that just parked when the scheduler's decision
+  /// runs there (ChoiceSource::onParked). It must only read workload
+  /// state. Because extractors typically read locals of the registering
+  /// thread, the runtime automatically drops the extractor when that
+  /// thread finishes.
   void setStateExtractor(std::function<uint64_t()> Fn);
 
   //===--------------------------------------------------------------------

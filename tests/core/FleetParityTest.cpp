@@ -156,14 +156,18 @@ TEST(FleetParity, RegistrySweepFleet4MatchesJobs4) {
 }
 
 //===----------------------------------------------------------------------===//
-// Exhaustive catalogue: exact multiset parity at widths 1, 2, 4 and 8
-// against both the serial engine and --jobs=4.
+// Exhaustive catalogue: exact multiset parity at widths 1, 2, 4 and 8 and
+// batch sizes 1, 16 and 64 against both the serial engine and --jobs=4.
+// A unit that stops at its batch hands back one continuation plus the
+// siblings of its shallowest open record; batch 1 makes every unit stop
+// and continue after a single execution.
 //===----------------------------------------------------------------------===//
 
 TEST(FleetParity, ExhaustiveCatalogueExactAtAllWidths) {
   struct Entry {
     const char *Key;
     int Cb;
+    bool TsoPor = false; // --memory=tso --por
   };
   const Entry Catalogue[] = {
       {"peterson", 2},
@@ -171,10 +175,17 @@ TEST(FleetParity, ExhaustiveCatalogueExactAtAllWidths) {
       {"crash-fault", 2},
       {"promise", 2},
       {"work-stealing-queue", 1},
+      // Continuations replay whole stacks, so every record's sleep and
+      // flush masks must cross the wire with it.
+      {"work-stealing-queue", 0, /*TsoPor=*/true},
   };
   for (const Entry &E : Catalogue) {
-    SCOPED_TRACE(E.Key);
+    SCOPED_TRACE(std::string(E.Key) + (E.TsoPor ? " tso por" : ""));
     CheckerOptions Base = exhaustiveOpts(E.Cb);
+    if (E.TsoPor) {
+      Base.Memory = MemoryModel::Tso;
+      Base.Por = true;
+    }
     CheckResult Serial = check(registryProgram(E.Key), Base);
     ASSERT_TRUE(Serial.Stats.SearchExhausted);
 
@@ -183,19 +194,21 @@ TEST(FleetParity, ExhaustiveCatalogueExactAtAllWidths) {
     CheckResult J = check(registryProgram(E.Key), Jobs);
     expectExactlyEqual(J, Serial);
 
-    for (int Width : {1, 2, 4, 8}) {
-      SCOPED_TRACE("fleet width " + std::to_string(Width));
-      CheckResult F =
-          check(registryProgram(E.Key), fleetOpts(Base, Width));
-      expectExactlyEqual(F, Serial);
-      // CI's chaos job reruns this suite with ambient FSMC_FLEET_CHAOS;
-      // exactness must hold regardless, but a quiet run additionally
-      // proves the supervisor never intervened.
-      if (!std::getenv("FSMC_FLEET_CHAOS")) {
-        EXPECT_EQ(F.Stats.FleetWorkerCrashes, 0u);
-        EXPECT_EQ(F.Stats.FleetReissues, 0u);
+    for (int Batch : {1, 16, 64})
+      for (int Width : {1, 2, 4, 8}) {
+        SCOPED_TRACE("fleet width " + std::to_string(Width) + " batch " +
+                     std::to_string(Batch));
+        CheckResult F =
+            check(registryProgram(E.Key), fleetOpts(Base, Width, Batch));
+        expectExactlyEqual(F, Serial);
+        // CI's chaos job reruns this suite with ambient FSMC_FLEET_CHAOS;
+        // exactness must hold regardless, but a quiet run additionally
+        // proves the supervisor never intervened.
+        if (!std::getenv("FSMC_FLEET_CHAOS")) {
+          EXPECT_EQ(F.Stats.FleetWorkerCrashes, 0u);
+          EXPECT_EQ(F.Stats.FleetReissues, 0u);
+        }
       }
-    }
   }
 }
 
@@ -350,6 +363,49 @@ TEST(FleetParity, EveryEngineReportsTheSerialCounters) {
   }
 }
 
+TEST(FleetParity, UnitCountIsExactAtWidthOneAndAtBatchOne) {
+  // A lone worker stops a unit only at its batch, and what a unit hands
+  // back depends only on where it stopped, so at width 1 the units an
+  // exhaustive search commits are a function of the tree and the batch.
+  // A wider fleet also stops a unit early when a worker idles beside an
+  // empty queue, which moves the count with timing -- except at batch 1,
+  // where every unit runs exactly one execution either way. Serial and
+  // thread-engine reports omit the row.
+  TestProgram P = registryProgram("dining-philosophers");
+  const CheckerOptions Base = exhaustiveOpts(2);
+  CheckerOptions Jobs = Base;
+  Jobs.Jobs = 2;
+  EXPECT_EQ(countersOf(P, Base, false).counter(obs::Counter::FleetUnits), 0u);
+  EXPECT_EQ(countersOf(P, Jobs, false).counter(obs::Counter::FleetUnits), 0u);
+  // A killed attempt commits nothing and its re-run commits once, but a
+  // fleet that runs out of workers finishes its queue in-process, unsplit;
+  // so, like the quiet-run checks above, the pins skip chaos runs.
+  if (std::getenv("FSMC_FLEET_CHAOS"))
+    return;
+  struct Pin {
+    int Batch;
+    uint64_t Units;
+  };
+  for (const Pin &Pn : {Pin{16, 259}, Pin{64, 69}}) {
+    SCOPED_TRACE("batch " + std::to_string(Pn.Batch));
+    obs::CounterSnapshot One =
+        countersOf(P, fleetOpts(Base, 1, Pn.Batch), false);
+    EXPECT_EQ(One.counter(obs::Counter::FleetUnits), Pn.Units);
+    // No unit runs more than its batch.
+    uint64_t Execs = One.counter(obs::Counter::Executions);
+    obs::CounterSnapshot Four =
+        countersOf(P, fleetOpts(Base, 4, Pn.Batch), false);
+    EXPECT_GE(Four.counter(obs::Counter::FleetUnits),
+              (Execs + uint64_t(Pn.Batch) - 1) / uint64_t(Pn.Batch));
+  }
+  for (int Width : {1, 4}) {
+    SCOPED_TRACE("batch 1, width " + std::to_string(Width));
+    obs::CounterSnapshot Got = countersOf(P, fleetOpts(Base, Width, 1), false);
+    EXPECT_EQ(Got.counter(obs::Counter::FleetUnits),
+              Got.counter(obs::Counter::Executions));
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Chaos: fault injection must change the fleet_* counters and nothing
 // else. A killed worker commits nothing, so the re-run of its unit
@@ -445,8 +501,8 @@ TEST(FleetChaos, AllWorkersDeadDegradesToInProcessWithoutDeadlock) {
   }
   EXPECT_EQ(R.Stats.FleetWorkerCrashes, 2u);
   EXPECT_EQ(R.Stats.FleetRespawns, 0u);
-  // The first unit absorbed both deaths and was quarantined on fallback;
-  // it surfaces as a replayable crash incident, not a silent loss.
+  // Every unit that killed a worker is quarantined on fallback; it
+  // surfaces as a replayable crash incident, not a silent loss.
   EXPECT_GE(R.Stats.FleetQuarantined, 1u);
   EXPECT_EQ(R.Kind, Verdict::Crash);
   ASSERT_FALSE(R.Incidents.empty());

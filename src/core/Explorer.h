@@ -212,6 +212,19 @@ private:
     /// Flush-agent candidate bits (ScheduleChoice::FlushMask); nonzero
     /// only under --memory=tso|pso.
     uint64_t FlushMask = 0;
+    // Stamped by the execution that consumed the record, so the next one
+    // can replay the step from its trace (decideLean). A data choice
+    // (chooseInt) stamps only Step.
+    /// curr.yield(Prev) at the choice point.
+    bool PrevAtYield = false;
+    /// The execution's preemption count after the step.
+    int Preemptions = 0;
+    /// ES at the choice point.
+    uint64_t Enabled = 0;
+    /// The step (trace index) that consumed the record.
+    uint64_t Step = 0;
+
+    struct ScheduleChoice choice() const;
   };
 
   enum class EndCause;
@@ -222,6 +235,10 @@ private:
   /// bookkeeping (choice stack, trace, preemptions, sleep set). \returns
   /// false, with X.End set, when the execution ends instead.
   bool decide(ExecState &X);
+  /// decide() for a step the previous execution took identically: reads
+  /// the thread from its trace instead of deciding again. \returns false,
+  /// changing nothing, when the guard finds the step differs.
+  bool decideLean(ExecState &X);
   /// Accounts for the transition X.T that just ran and ended in \p St:
   /// counters, the fair scheduler, POR wakes, liveness, coverage and the
   /// bounds. \returns false, with X.End set, when the execution ends.
@@ -262,6 +279,11 @@ private:
                 uint64_t SleepMask = 0, uint64_t FlushMask = 0);
   void reportBug(Verdict V, std::string Msg, const Runtime &RT,
                  uint64_t Step);
+  /// The encoded choices the current execution has consumed so far.
+  std::string consumedSchedule();
+  /// The Knuth leaf mass of the current path: the product of
+  /// 1/branch-factor over its consumed backtrackable records.
+  double pathMass() const;
   /// Credits the just-completed path's Knuth leaf mass (the product of
   /// 1/branch-factor over its consumed backtrackable records) into the
   /// weighted-backtrack estimator. No-op unless CheckerOptions::Estimate.
@@ -283,6 +305,11 @@ private:
   size_t Cursor = 0;
   size_t ReplayLen = 0; ///< Stack records present when the execution began.
   size_t FrozenLen = 0; ///< Leading records the DFS never advances past.
+  /// Leading steps of the next execution that repeat the previous one's,
+  /// so decideLean may replay them from CurTrace: the steps before the
+  /// one that consumed the advanced record. 0 after anything but a
+  /// counted execution and a DFS advance.
+  uint64_t LeanSteps = 0;
   bool ReplayMismatch = false;
   size_t MismatchIdx = 0; ///< Stack index where replay diverged.
   std::function<bool(Explorer &)> Hook;
@@ -319,6 +346,8 @@ private:
   std::unique_ptr<Runtime> PersistentRT;
 
   CheckResult Result;
+  /// The current execution's steps. Holds the previous execution's while
+  /// decideLean replays them.
   Trace CurTrace;
   /// Scratch for serializing Stack into ScheduleChoices (bug reports,
   /// race incidents); a member so repeated serialization reuses capacity.

@@ -3,6 +3,7 @@
 #include "obs/HtmlReport.h"
 
 #include "core/Checker.h"
+#include "obs/Counters.h"
 #include "obs/SearchProfile.h"
 #include "runtime/PendingOp.h"
 
@@ -54,7 +55,8 @@ static void barRow(std::string &Out, const std::string &Label, uint64_t Count,
 
 std::string fsmc::obs::renderHtmlReport(const CheckResult &R,
                                         const CheckerOptions &Opts,
-                                        const std::string &ProgramName) {
+                                        const std::string &ProgramName,
+                                        const CounterSnapshot &Counters) {
   const SearchStats &S = R.Stats;
   std::string Out;
   Out += "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
@@ -88,6 +90,13 @@ std::string fsmc::obs::renderHtmlReport(const CheckResult &R,
                "</td></tr>\n", S.Executions);
   appendf(Out, "<tr><td>transitions</td><td class=\"n\">%" PRIu64
                "</td></tr>\n", S.Transitions);
+  // The stateless method's tax, as the progress line's replay=NN% shows
+  // it: only once there is replay.
+  uint64_t Replay = Counters.counter(Counter::ReplaySteps);
+  uint64_t Trans = Counters.counter(Counter::Transitions);
+  if (Replay && Trans)
+    appendf(Out, "<tr><td>replay share</td><td class=\"n\">%.0f%%"
+                 "</td></tr>\n", 100.0 * double(Replay) / double(Trans));
   appendf(Out, "<tr><td>max depth</td><td class=\"n\">%" PRIu64
                "</td></tr>\n", S.MaxDepth);
   if (S.PorBranchesPruned)

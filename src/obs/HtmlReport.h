@@ -26,10 +26,15 @@ struct CheckerOptions;
 
 namespace obs {
 
+struct CounterSnapshot;
+
 /// Renders the full report page. Sections without data (no profile, no
-/// estimate) are omitted rather than rendered empty.
+/// estimate) are omitted rather than rendered empty. \p Counters are the
+/// run's observer counters, for the rows derived from them (the replay
+/// share).
 std::string renderHtmlReport(const CheckResult &R, const CheckerOptions &Opts,
-                             const std::string &ProgramName);
+                             const std::string &ProgramName,
+                             const CounterSnapshot &Counters);
 
 } // namespace obs
 } // namespace fsmc

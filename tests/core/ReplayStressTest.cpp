@@ -16,6 +16,8 @@
 #include "runtime/Runtime.h"
 #include "sync/Atomic.h"
 #include "sync/TestThread.h"
+#include "workloads/DiningPhilosophers.h"
+#include "workloads/WorkerGroup.h"
 
 #include <gtest/gtest.h>
 #include <memory>
@@ -104,6 +106,10 @@ TEST(ReplayStress, DfsBugSchedulesReplayAcrossSeeds) {
     CheckResult Replay = replaySchedule(P, ReplayOpts, R.Bug->Schedule);
     ASSERT_EQ(Replay.Kind, R.Kind) << "seed " << Seed;
     EXPECT_EQ(Replay.Bug->AtStep, R.Bug->AtStep);
+    // The search renders its report from the trace it kept across
+    // executions; a replay records every step afresh. Equal text means
+    // the search's trace prefix was not stale.
+    EXPECT_EQ(Replay.Bug->TraceText, R.Bug->TraceText);
   }
 }
 
@@ -134,6 +140,43 @@ TEST(ReplayStress, PorSchedulesReplayByteIdentically) {
     EXPECT_EQ(Replay.Bug->Message, R.Bug->Message);
     EXPECT_EQ(Replay.Bug->Schedule, R.Bug->Schedule)
         << "replay re-recorded a different schedule";
+    EXPECT_EQ(Replay.Bug->TraceText, R.Bug->TraceText);
+  }
+}
+
+TEST(ReplayStress, DivergenceVerdictsReplayWithIdenticalText) {
+  // A divergence verdict is classified from the whole trace of the
+  // execution that hit the bound (LivenessMonitor::classifyDivergence),
+  // and a good-samaritan violation names the spinning thread. Both come
+  // from deep executions that mostly replay an earlier one, so a stale
+  // trace prefix would show up in the message or the rendered trace.
+  DiningConfig C;
+  C.Philosophers = 2;
+  C.Kind = DiningConfig::Variant::TryLockRetry;
+  CheckerOptions Livelock;
+  Livelock.ExecutionBound = 300;
+  CheckerOptions Spin;
+  Spin.GoodSamaritanBound = 1000;
+  struct Case {
+    TestProgram P;
+    CheckerOptions O;
+    Verdict Expected;
+  } Cases[] = {
+      {makeDiningProgram(C), Livelock, Verdict::Livelock},
+      {makeWorkerGroupProgram(WorkerGroupConfig()), Spin,
+       Verdict::GoodSamaritanViolation},
+  };
+  for (const Case &K : Cases) {
+    SCOPED_TRACE(K.P.Name);
+    CheckResult R = check(K.P, K.O);
+    ASSERT_EQ(R.Kind, K.Expected);
+    ASSERT_TRUE(R.Bug.has_value());
+    CheckResult Replay = replaySchedule(K.P, K.O, R.Bug->Schedule);
+    ASSERT_EQ(Replay.Kind, R.Kind);
+    ASSERT_TRUE(Replay.Bug.has_value());
+    EXPECT_EQ(Replay.Bug->AtStep, R.Bug->AtStep);
+    EXPECT_EQ(Replay.Bug->Message, R.Bug->Message);
+    EXPECT_EQ(Replay.Bug->TraceText, R.Bug->TraceText);
   }
 }
 

@@ -12,6 +12,7 @@
 #include "core/Checker.h"
 #include "obs/Counters.h"
 #include "obs/EventSink.h"
+#include "obs/HtmlReport.h"
 #include "obs/Observer.h"
 #include "obs/ProgressReporter.h"
 #include "obs/StatsJson.h"
@@ -141,6 +142,24 @@ TEST(ProgressLine, ReplayShareOfTransitions) {
   // A sliver of replay still shows, rounded.
   Line = formatProgressLine(Cfg, progressSnapshot(100, 1000, 4), 2.0, 50.0);
   EXPECT_NE(Line.find(" replay=0%\n"), std::string::npos) << Line;
+}
+
+TEST(HtmlReport, ReplayShareBesideTransitions) {
+  CheckResult R;
+  R.Stats.Transitions = 1000;
+  CheckerOptions O;
+  CounterSnapshot S;
+  S.C[size_t(Counter::Transitions)] = 1000;
+  S.C[size_t(Counter::ReplaySteps)] = 968;
+  std::string Doc = renderHtmlReport(R, O, "p", S);
+  EXPECT_NE(Doc.find("<tr><td>transitions</td><td class=\"n\">1000</td></tr>\n"
+                     "<tr><td>replay share</td><td class=\"n\">97%</td></tr>"),
+            std::string::npos)
+      << Doc;
+  // Like the progress line's replay=NN%, the row needs replay to show.
+  S.C[size_t(Counter::ReplaySteps)] = 0;
+  EXPECT_EQ(renderHtmlReport(R, O, "p", S).find("replay share"),
+            std::string::npos);
 }
 
 TEST(ProgressLine, EtaUnknownWithoutARate) {

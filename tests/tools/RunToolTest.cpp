@@ -440,6 +440,8 @@ TEST_F(RunTool, ReportWritesSelfContainedHtml) {
   EXPECT_TRUE(contains(Doc, "Tree-size estimate")) << Doc.substr(0, 400);
   EXPECT_TRUE(contains(Doc, "Branch points by operation class"))
       << Doc.substr(0, 400);
+  // A bounded DFS replays prefixes, so the run summary shows their share.
+  EXPECT_TRUE(contains(Doc, "<td>replay share</td>")) << Doc.substr(0, 400);
   // No external fetches: self-contained means no src/href URLs.
   EXPECT_FALSE(contains(Doc, "http://"));
   EXPECT_FALSE(contains(Doc, "https://"));

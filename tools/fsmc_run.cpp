@@ -945,8 +945,8 @@ int main(int Argc, char **Argv) {
     }
   }
   std::unique_ptr<obs::Observer> Obs;
-  if (Sink || !StatsJsonPath.empty() || Progress || Verbose || StepTiming ||
-      PhaseTiming || Opts.Estimate) {
+  if (Sink || !StatsJsonPath.empty() || !ReportPath.empty() || Progress ||
+      Verbose || StepTiming || PhaseTiming || Opts.Estimate) {
     obs::Observer::Config OC;
     OC.Sink = Sink.get();
     OC.StepTiming = StepTiming;
@@ -1102,7 +1102,7 @@ int main(int Argc, char **Argv) {
       errs() << "cannot open " << ReportPath << " for writing\n";
       return 2;
     }
-    F << obs::renderHtmlReport(R, Opts, Program.Name);
+    F << obs::renderHtmlReport(R, Opts, Program.Name, Obs->snapshot());
   }
   return exitCode(R);
 }

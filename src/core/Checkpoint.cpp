@@ -121,35 +121,6 @@ bool readStat(SearchStats &S, bool Float, const std::string &Name,
 
 } // namespace
 
-std::vector<std::vector<ScheduleChoice>>
-fsmc::decomposeUnitToFrozenPrefixes(const CheckpointUnit &U) {
-  std::vector<std::vector<ScheduleChoice>> Out;
-  if (U.FrozenLen >= U.Prefix.size()) {
-    Out.push_back(U.Prefix);
-    return Out;
-  }
-  // The unit's stack is the replay prefix of the next execution a serial
-  // explorer would run. Its remainder is that complete path's subtree
-  // (the stack itself, fully frozen) plus every untried larger sibling at
-  // each advanceable record -- the splitWork carve-up, done statically.
-  Out.push_back(U.Prefix);
-  for (size_t I = U.FrozenLen; I < U.Prefix.size(); ++I) {
-    const ScheduleChoice &C = U.Prefix[I];
-    if (!C.Backtrack || C.Chosen + 1 >= C.Num)
-      continue;
-    for (int Alt = C.Chosen + 1; Alt < C.Num; ++Alt) {
-      std::vector<ScheduleChoice> P;
-      P.reserve(I + 1);
-      P.assign(U.Prefix.begin(), U.Prefix.begin() + long(I));
-      // Siblings share the choice point's sleep and flush masks
-      // (core/Schedule.h).
-      P.push_back({Alt, C.Num, C.Backtrack, C.SleepMask, C.FlushMask});
-      Out.push_back(std::move(P));
-    }
-  }
-  return Out;
-}
-
 std::string fsmc::encodeCheckpoint(const CheckpointState &CK,
                                    const std::string &Program,
                                    uint64_t Seed) {

@@ -13,11 +13,15 @@
 /// a checkpoint is small, versioned text, and resuming from it visits
 /// exactly the executions an uninterrupted run would have visited.
 ///
-/// A serial explorer checkpoints its raw DFS stack (one unit, nothing
-/// frozen: the resumed explorer may advance any record). The parallel
-/// driver checkpoints the union of every worker's splitWork donation plus
-/// the queued work items (all fully frozen subtree prefixes). Format and
-/// invariants: docs/ROBUSTNESS.md.
+/// The frontier is a list of CheckpointUnits (core/Schedule.h), the one
+/// unit of work every engine runs. A serial explorer checkpoints its raw
+/// DFS stack (one unit, nothing frozen: the resumed explorer may advance
+/// any record). The thread engine and the fleet checkpoint their queued
+/// units plus what each stopped explorer hands back (Explorer::handBack):
+/// one continuation, frozen through the shallowest record with untried
+/// siblings, and those siblings. Any engine resumes any of these files
+/// by running the units as they are. Format and invariants:
+/// docs/ROBUSTNESS.md.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,16 +35,6 @@
 #include <vector>
 
 namespace fsmc {
-
-/// One unexplored region of the choice tree.
-struct CheckpointUnit {
-  std::vector<ScheduleChoice> Prefix;
-  /// Leading records the resumed explorer must not advance or pop:
-  /// Prefix.size() for a donated subtree prefix (the search is confined
-  /// below it), 0 for a serial DFS stack (every record is advanceable),
-  /// anything between for a fleet continuation (docs/FLEET.md).
-  size_t FrozenLen = 0;
-};
 
 /// Everything needed to continue a search: written by
 /// CheckerOptions::CheckpointSink / returned in CheckResult::Resume.
@@ -65,14 +59,6 @@ struct CheckpointState {
   /// persisted.
   std::vector<BugReport> Incidents;
 };
-
-/// Rewrites \p U as fully frozen subtree prefixes: the unit's own stack
-/// (confining a worker below the complete path) plus one prefix per
-/// untried sibling alternative -- the same carve-up Explorer::splitWork
-/// performs on a live stack. Already-frozen units pass through unchanged.
-/// The parallel driver uses this to shard a serial checkpoint.
-std::vector<std::vector<ScheduleChoice>>
-decomposeUnitToFrozenPrefixes(const CheckpointUnit &U);
 
 /// Stable text encoding, version tag "fsmc-ckpt 4". Every nonzero stat
 /// row that accumulates across run parts (FSMC_SEARCH_STATS rows not

@@ -214,7 +214,7 @@ void Explorer::setExecutionHook(std::function<bool(Explorer &)> H) {
   Hook = std::move(H);
 }
 
-size_t Explorer::splitWork(std::vector<std::vector<ScheduleChoice>> &Out,
+size_t Explorer::splitWork(std::vector<CheckpointUnit> &Out,
                            size_t MaxItems) {
   size_t Donated = 0;
   // Base is maintained incrementally as the shared prefix Stack[0..I):
@@ -233,18 +233,19 @@ size_t Explorer::splitWork(std::vector<std::vector<ScheduleChoice>> &Out,
       // all-or-nothing), so give away the record's whole remainder even
       // if that overshoots MaxItems by a few siblings.
       for (int Alt = R.Chosen + 1; Alt < R.Num; ++Alt) {
-        std::vector<ScheduleChoice> Prefix;
-        Prefix.reserve(Base.size() + 1);
-        Prefix.assign(Base.begin(), Base.end());
+        CheckpointUnit U;
+        U.Prefix.reserve(Base.size() + 1);
+        U.Prefix.assign(Base.begin(), Base.end());
         // The sleep and flush masks describe the choice point, not the
         // branch taken, so every donated sibling inherits them verbatim;
         // the worker replaying the prefix recomputes and validates both.
-        Prefix.push_back(R.choice());
-        Prefix.back().Chosen = Alt;
+        U.Prefix.push_back(R.choice());
+        U.Prefix.back().Chosen = Alt;
+        U.FrozenLen = U.Prefix.size();
         if (Ctr)
           Ctr->add(obs::Counter::DonationBytes,
-                   Prefix.size() * sizeof(ScheduleChoice));
-        Out.push_back(std::move(Prefix));
+                   U.Prefix.size() * sizeof(ScheduleChoice));
+        Out.push_back(std::move(U));
         ++Donated;
       }
       R.Donated = true;
@@ -252,6 +253,42 @@ size_t Explorer::splitWork(std::vector<std::vector<ScheduleChoice>> &Out,
     Base.push_back(R.choice());
   }
   return Donated;
+}
+
+void Explorer::handBack(std::vector<CheckpointUnit> &Out) {
+  if (Opts.Kind == SearchKind::RandomWalk) {
+    // No siblings: the next walk starts from the frozen prefix again.
+    CheckpointUnit U;
+    for (size_t I = 0; I < FrozenLen; ++I)
+      U.Prefix.push_back(Stack[I].choice());
+    U.FrozenLen = FrozenLen;
+    Out.push_back(std::move(U));
+    return;
+  }
+  std::vector<CheckpointUnit> Siblings;
+  if (!splitWork(Siblings, 1))
+    return;
+  // The continuation is the stack advanceStack would run next, with the
+  // same test per record; it is frozen through the record just split.
+  size_t Freeze = Siblings.front().FrozenLen;
+  size_t Top = Stack.size();
+  while (Top > Freeze) {
+    const ChoiceRec &R = Stack[Top - 1];
+    if (R.Backtrack && !R.Donated && R.Chosen + 1 < R.Num)
+      break;
+    --Top;
+  }
+  if (Top > Freeze) {
+    CheckpointUnit Next;
+    Next.Prefix.reserve(Top);
+    for (size_t I = 0; I < Top; ++I)
+      Next.Prefix.push_back(Stack[I].choice());
+    ++Next.Prefix.back().Chosen;
+    Next.FrozenLen = Freeze;
+    Out.push_back(std::move(Next));
+  }
+  for (CheckpointUnit &U : Siblings)
+    Out.push_back(std::move(U));
 }
 
 std::vector<int> Explorer::consumedPathKey() const {

@@ -51,6 +51,7 @@ struct ExplainLog;
 } // namespace obs
 
 struct CheckpointState;
+struct CheckpointUnit;
 class StackPool;
 
 /// Drives the whole search for one checker run. Also serves as the
@@ -72,14 +73,14 @@ public:
   ///
   /// With \p Frozen set, the preloaded records form an immutable prefix:
   /// the DFS never advances or pops them, so the search is confined to
-  /// the subtree below the prefix. This is how ParallelExplorer shards
-  /// the choice tree across workers.
+  /// the subtree below the prefix.
   void preloadSchedule(const std::vector<struct ScheduleChoice> &Choices,
                        bool Frozen = false);
 
   /// preloadSchedule freezing only the first \p FrozenLen records: the
-  /// rest of the preloaded stack stays advanceable. This is how a resumed
-  /// search or a re-leased fleet unit re-enters the middle of a subtree.
+  /// rest of the preloaded stack stays advanceable. This is how every
+  /// engine runs a CheckpointUnit, so a resumed search or a handed-back
+  /// continuation re-enters the middle of a subtree.
   void preloadScheduleFrozenPrefix(
       const std::vector<struct ScheduleChoice> &Choices, size_t FrozenLen);
 
@@ -109,9 +110,10 @@ public:
   /// Live statistics; valid from the execution hook.
   const SearchStats &currentStats() const { return Result.Stats; }
 
-  /// The DFS stack as schedule choices (Donated records excluded from
-  /// nothing -- this is the raw stack). Valid from the execution hook or
-  /// after run().
+  /// The DFS stack as schedule choices. The snapshot drops each record's
+  /// Donated flag, so it cannot tell which alternatives splitWork already
+  /// handed away; handBack reads the live stack instead. Valid from the
+  /// execution hook or after run().
   std::vector<struct ScheduleChoice> currentStackSnapshot() const;
 
   /// The first counterexample found so far (or preloaded); valid from the
@@ -136,13 +138,26 @@ public:
   /// and work donation.
   void setExecutionHook(std::function<bool(Explorer &)> Hook);
 
-  /// Carves unexplored sibling alternatives off the DFS stack as frozen
-  /// prefixes for other workers, shallowest (largest subtree) first, and
-  /// marks the donated records so this explorer skips them. Only valid
-  /// from within the execution hook. \returns the number of prefixes
-  /// appended to \p Out (at most \p MaxItems).
-  size_t splitWork(std::vector<std::vector<struct ScheduleChoice>> &Out,
-                   size_t MaxItems);
+  /// Carves unexplored sibling alternatives off the DFS stack as fully
+  /// frozen units for other workers, shallowest (largest subtree) first,
+  /// and marks the donated records so this explorer skips them. Only
+  /// valid from within the execution hook. \returns the number of units
+  /// appended to \p Out (at most \p MaxItems, unless one record's
+  /// siblings overshoot it).
+  size_t splitWork(std::vector<CheckpointUnit> &Out, size_t MaxItems);
+
+  /// Hands back everything this explorer has left to explore, for an
+  /// explorer that stops here: the untried siblings of the shallowest
+  /// record that has any and is not yet donated (splitWork(Out, 1)), and
+  /// before them one continuation -- the stack advanceStack would run
+  /// next, frozen through that record -- holding everything deeper. The
+  /// continuation sorts before the siblings in DFS order, so one worker
+  /// running the units smallest-first still walks the serial order. With
+  /// no such record there is no continuation either: every deeper
+  /// alternative is donated or exhausted, and Out gains nothing. A random
+  /// walk hands back its frozen prefix. Only valid from within the
+  /// execution hook; both parallel engines stop a unit through it.
+  void handBack(std::vector<CheckpointUnit> &Out);
 
   /// The Chosen values consumed by the execution that just finished --
   /// the path's position in DFS order. Two paths compare by the first

@@ -241,41 +241,17 @@ struct Attempt {
   }
 
   /// Runs the attempt, asking \p Stop(explorer, executions so far) after
-  /// every execution. On a stop the unexplored rest lands in Remainder.
-  template <typename Fn> CheckResult run(bool RandomWalk, Fn Stop) {
+  /// every execution. On a stop the unexplored rest lands in Remainder
+  /// (Explorer::handBack).
+  template <typename Fn> CheckResult run(Fn Stop) {
     uint64_t Done = 0;
     E.setExecutionHook([&](Explorer &Ex) {
       if (!Stop(Ex, ++Done))
         return true;
-      handBack(Ex, RandomWalk);
+      Ex.handBack(Remainder);
       return false;
     });
     return E.run();
-  }
-
-  /// The unexplored rest of a stopped unit, as few units as keep the DFS
-  /// order: the untried siblings of the shallowest record that has any,
-  /// each fully frozen, and one continuation -- the explorer's next stack
-  /// (Explorer::advanceStack), frozen through that record -- holding
-  /// everything deeper. The continuation sorts before the siblings, so
-  /// one worker still walks the serial DFS order. A random walk has no
-  /// siblings; its remainder is its own frozen prefix again.
-  void handBack(Explorer &Ex, bool RandomWalk) {
-    size_t Frozen = U.Work.FrozenLen;
-    if (RandomWalk) {
-      Remainder.push_back(
-          {{U.Work.Prefix.begin(), U.Work.Prefix.begin() + long(Frozen)},
-           Frozen});
-      return;
-    }
-    std::vector<std::vector<ScheduleChoice>> Siblings;
-    if (Ex.splitWork(Siblings, 1))
-      Frozen = Siblings.front().size();
-    std::vector<ScheduleChoice> Next = Ex.currentStackSnapshot();
-    if (advancePrefix(Next, Frozen, /*RandomWalk=*/false))
-      Remainder.push_back({std::move(Next), Frozen});
-    for (std::vector<ScheduleChoice> &P : Siblings)
-      Remainder.push_back({std::move(P), Frozen});
   }
 
   std::vector<uint64_t> sortedStates() const {
@@ -479,7 +455,6 @@ struct WorkerCtl {
   if (Cfg.Counting)
     Obs.emplace(*Cfg.Counting);
   uint64_t LifetimeExecs = 0;
-  const bool RandomWalk = Cfg.Opts.Kind == SearchKind::RandomWalk;
 
   for (;;) {
     Ctl.pump(/*Block=*/Ctl.Units.empty());
@@ -503,7 +478,7 @@ struct WorkerCtl {
     size_t StatesSent = 0, IncidentsSent = 0;
     bool BugSent = false;
 
-    CheckResult R = A.run(RandomWalk, [&](Explorer &Ex, uint64_t Done) {
+    CheckResult R = A.run([&](Explorer &Ex, uint64_t Done) {
       ++LifetimeExecs;
       // Fault injection: die or go silent mid-attempt, before anything
       // is committed -- exactly the failure the recovery path must mask.
@@ -567,7 +542,7 @@ struct WorkerCtl {
     W.states(SS.data(), SS.size());
     W.u32(uint32_t(A.Remainder.size()));
     for (const CheckpointUnit &Rem : A.Remainder)
-      W.unit(Rem.Prefix, Rem.FrozenLen);
+      W.unit(Rem);
     if (Obs) // the whole attempt's counts; the next attempt starts at zero
       putCounters(W, Obs->drain());
     if (!writeRecord(UpFd, TagUnitDone, W))
@@ -757,9 +732,9 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
     if (Isolated && ResumeCK->Rng)
       Rng = ResumeCK->Rng;
     for (const CheckpointUnit &U : ResumeCK->Frontier)
-      LT.add(U.Prefix, U.FrozenLen);
+      LT.add(U);
   } else {
-    LT.add({}, 0); // the whole choice tree
+    LT.add({}); // the whole choice tree
   }
 
   auto bump = [&](obs::Counter C, uint64_t &Field) {
@@ -837,7 +812,7 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
         Opts.StopOnFirstBug)
       broadcastBestBug();
     for (CheckpointUnit &U : Rem)
-      LT.add(std::move(U.Prefix), U.FrozenLen);
+      LT.add(std::move(U));
     LT.commit(LeaseId);
     if (AttemptTimedOut)
       TimedOut = true;
@@ -904,7 +879,7 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
   // A death is never re-issued or quarantined.
   auto recoverIsolated = [&](FleetWorker &W, uint64_t Id, int Status) {
     Progress P = std::move(W.Prog);
-    const WorkUnit &U = LT.unit(Id);
+    const CheckpointUnit &U = LT.unit(Id);
     commitAttempt(Id, P.Part, P.States, P.Counters, false, {},
                   P.Have ? P.Rng : Rng, /*Broadcast=*/false);
     // The execution that killed the worker replays advance(stack of the
@@ -929,7 +904,7 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
     // No choice resolves after the crash point, so everything below the
     // crashing stack dies the same death: skip it.
     if (advancePrefix(Stack, U.FrozenLen, RandomWalk))
-      LT.add(std::move(Stack), U.FrozenLen);
+      LT.add({std::move(Stack), U.FrozenLen});
   };
 
   auto handleDeath = [&](FleetWorker &W, int Status) {
@@ -1074,11 +1049,10 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
       if (!W.Alive || W.LeaseId)
         continue;
       for (;;) {
-        const WorkUnit *U = LT.lease(int(I), Now, Now + HbTimeout);
-        if (!U)
+        uint64_t Id = LT.lease(int(I), Now, Now + HbTimeout);
+        if (!Id)
           break;
-        uint64_t Id = U->Id;
-        if (Totals.afterBest(pathKeyOfPrefix(U->Prefix))) {
+        if (Totals.afterBest(pathKeyOfPrefix(LT.unit(Id).Prefix))) {
           // Retire the unit without running it: it cannot improve the bug.
           LT.commit(Id);
           continue;
@@ -1104,7 +1078,7 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
         Wr.u64(Budget);
         Wr.f64(TimeBudget);
         Wr.u64(Rng);
-        Wr.unit(U->Prefix, U->FrozenLen);
+        Wr.unit(LT.unit(Id));
         W.LeaseId = Id;
         NextSlot = (I + 1) % Workers.size();
         W.Prog = Progress();
@@ -1143,10 +1117,7 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
   };
 
   auto buildCheckpoint = [&]() {
-    std::vector<CheckpointUnit> Frontier;
-    for (const WorkUnit *U : LT.pendingUnits())
-      Frontier.push_back({U->Prefix, U->FrozenLen});
-    return Totals.checkpoint(std::move(Frontier), Rng);
+    return Totals.checkpoint(LT.pendingUnits(), Rng);
   };
 
   // Settles every outstanding lease: asks busy workers to stop (they
@@ -1255,14 +1226,13 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
       }
       if (TimedOut)
         return;
-      const WorkUnit *U = LT.lease(/*Owner=*/-2, elapsed(), /*Deadline=*/0);
-      if (!U) {
+      uint64_t Id = LT.lease(/*Owner=*/-2, elapsed(), /*Deadline=*/0);
+      if (!Id) {
         if (LT.pendingCount() == 0)
           return;
         ::usleep(10000); // only backoff-delayed units remain
         continue;
       }
-      uint64_t Id = U->Id;
       if (LT.attempts(Id) > 0) {
         LT.quarantine(Id);
         quarantineIncident(
@@ -1270,12 +1240,12 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
                     " worker deaths) quarantined: no fleet workers left");
         continue;
       }
-      if (Totals.afterBest(pathKeyOfPrefix(U->Prefix))) {
+      if (Totals.afterBest(pathKeyOfPrefix(LT.unit(Id).Prefix))) {
         LT.commit(Id);
         continue;
       }
       IssuedUnit IU;
-      IU.Work = {U->Prefix, U->FrozenLen};
+      IU.Work = LT.unit(Id);
       IU.Rng = Rng;
       CheckerOptions AOpts = ChildOpts;
       AOpts.Obs = Local ? &*Local : nullptr;
@@ -1286,7 +1256,7 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
       if (Opts.MaxExecutions && Opts.MaxExecutions > Total.Executions)
         Budget = Opts.MaxExecutions - Total.Executions;
       Attempt A(Program, AOpts, IU, &Pool);
-      CheckResult R = A.run(RandomWalk, [&](Explorer &Ex, uint64_t Done) {
+      CheckResult R = A.run([&](Explorer &Ex, uint64_t Done) {
         return Totals.afterBest(Ex.consumedPathKey()) ||
                interruptRequested() || Done >= Budget;
       });

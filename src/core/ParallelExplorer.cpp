@@ -2,10 +2,10 @@
 //
 // The work-stealing parallel engine (docs/PERFORMANCE.md, "Parallel
 // search"). Architecture in one paragraph: each worker owns a private
-// WorkStealDeque of frozen-prefix items and runs serial DFS on whatever
-// it pops; the shared WorkQueue survives only as a cold-path injector
-// (seeding, epoch restarts, idle parking). A starving worker first
-// sweeps the other deques (steal-half from the top, shallowest-first =
+// WorkStealDeque of work units (CheckpointUnit) and runs serial DFS on
+// whatever it pops; the shared WorkQueue survives only as a cold-path
+// injector (seeding, epoch restarts, idle parking). A starving worker
+// first sweeps the other deques (steal-half from the top, shallowest-first =
 // largest subtrees), and only when every deque is empty posts a *steal
 // request* on an active victim; the victim answers at its next execution
 // boundary by splitting its shallowest unexplored siblings onto its own
@@ -93,7 +93,7 @@ struct ParallelExplorer::Shared {
   std::atomic<bool> InterruptSeen{false};
   std::atomic<uint64_t> NextCheckpointAt{UINT64_MAX};
   std::mutex StashM;
-  std::vector<std::vector<ScheduleChoice>> Stash;
+  std::vector<CheckpointUnit> Stash;
 
   // The committed search. Workers take TotalsM to offer a bug, to
   // refresh their copy of the best bug's key, and once per epoch to merge
@@ -126,10 +126,10 @@ struct ParallelExplorer::Shared {
       Injector.notifyAll();
   }
 
-  void stashPrefixes(std::vector<std::vector<ScheduleChoice>> &&Prefixes) {
+  void stash(std::vector<CheckpointUnit> &&Units) {
     std::lock_guard<std::mutex> Lock(StashM);
-    for (auto &P : Prefixes)
-      Stash.push_back(std::move(P));
+    for (CheckpointUnit &U : Units)
+      Stash.push_back(std::move(U));
   }
 
   void offerBug(const BugReport &Bug) {
@@ -163,25 +163,18 @@ CheckResult ParallelExplorer::run(const CheckpointState *From) {
                                   Opts.TimeBudgetSeconds));
   }
 
+  // Seed the search with the whole tree (one unit, empty prefix) or
+  // with a checkpoint's frontier as it is; the totals started from it.
+  // The other workers immediately post steal requests at whoever pops a
+  // unit, and the tree fans out from its first execution boundaries.
+  std::vector<CheckpointUnit> Seed(1);
   if (From) {
-    // Continue a checkpointed run: the totals started from it; shard the
-    // frontier into fully frozen subtree prefixes.
     SH.Executions.store(From->Stats.Executions,
                         std::memory_order_relaxed);
-    std::vector<WorkItem> Seed;
-    for (const CheckpointUnit &U : From->Frontier)
-      for (auto &P : decomposeUnitToFrozenPrefixes(U))
-        Seed.push_back(WorkItem{std::move(P)});
-    SH.registerItems(Seed.size());
-    SH.Injector.pushAll(std::move(Seed));
-  } else {
-    // Seed the search with the whole tree: one item, empty prefix. The
-    // other workers immediately post steal requests at whoever pops it,
-    // and the tree fans out from its first execution boundaries.
-    std::vector<WorkItem> Root(1);
-    SH.registerItems(1);
-    SH.Injector.pushAll(std::move(Root));
+    Seed = From->Frontier;
   }
+  SH.registerItems(Seed.size());
+  SH.Injector.pushAll(std::move(Seed));
 
   CheckerOptions WorkerOpts = Opts;
   WorkerOpts.Jobs = 1;
@@ -269,7 +262,7 @@ CheckResult ParallelExplorer::run(const CheckpointState *From) {
       // Acquire work, cheapest source first: own deque (private lock),
       // then the injector, then stealing half of the fullest-looking
       // victim deque.
-      std::optional<WorkItem> Item = MyDeque.popBottom();
+      std::optional<CheckpointUnit> Item = MyDeque.popBottom();
       if (!Item && SH.Injector.approxSize() > 0) {
         CountLock();
         Item = SH.Injector.tryPop();
@@ -279,7 +272,7 @@ CheckResult ParallelExplorer::run(const CheckpointState *From) {
           size_t V = (Self + size_t(K)) % size_t(Jobs);
           if (SH.Deques[V].empty())
             continue;
-          std::vector<WorkItem> Loot;
+          std::vector<CheckpointUnit> Loot;
           CountLock();
           if (SH.Deques[V].stealTop(Loot)) {
             if (WCtr)
@@ -288,12 +281,9 @@ CheckResult ParallelExplorer::run(const CheckpointState *From) {
             // item; the rest go on our own deque where further thieves
             // can find them.
             Item = std::move(Loot.front());
-            if (Loot.size() > 1) {
-              std::vector<WorkItem> Rest;
-              Rest.reserve(Loot.size() - 1);
-              for (size_t I = 1; I < Loot.size(); ++I)
-                Rest.push_back(std::move(Loot[I]));
-              MyDeque.publishTop(std::move(Rest));
+            Loot.erase(Loot.begin());
+            if (!Loot.empty()) {
+              MyDeque.publishTop(std::move(Loot));
               SH.Injector.notifyAll();
             }
           } else if (WCtr) {
@@ -325,17 +315,14 @@ CheckResult ParallelExplorer::run(const CheckpointState *From) {
       }
       if (SH.EpochStop.load(std::memory_order_relaxed)) {
         // Wind-down: stash this item and everything on our deque
-        // untouched. Stashed prefixes leave the outstanding count; the
+        // untouched. Stashed units leave the outstanding count; the
         // driver re-registers them if the epoch restarts.
-        std::vector<std::vector<ScheduleChoice>> Ps;
-        Ps.push_back(std::move(Item->Prefix));
-        std::vector<WorkItem> Drained;
-        MyDeque.drainAll(Drained);
-        for (WorkItem &D : Drained)
-          Ps.push_back(std::move(D.Prefix));
-        size_t N = Ps.size();
+        std::vector<CheckpointUnit> Units;
+        Units.push_back(std::move(*Item));
+        MyDeque.drainAll(Units);
+        size_t N = Units.size();
         CountLock();
-        SH.stashPrefixes(std::move(Ps));
+        SH.stash(std::move(Units));
         SH.finishItems(N);
         continue;
       }
@@ -377,7 +364,7 @@ CheckResult ParallelExplorer::run(const CheckpointState *From) {
       if (ItemOpts.ReuseExecutionState)
         E.setStackPool(&WorkerPool);
       E.setObsWorker(unsigned(WorkerId), Clock);
-      E.preloadSchedule(Item->Prefix, /*Frozen=*/true);
+      E.preloadScheduleFrozenPrefix(Item->Prefix, Item->FrozenLen);
       E.setExecutionHook([&](Explorer &Ex) {
         uint64_t N = SH.Executions.fetch_add(1, std::memory_order_relaxed) + 1;
         if (MaxExecutions && N >= MaxExecutions) {
@@ -401,14 +388,14 @@ CheckResult ParallelExplorer::run(const CheckpointState *From) {
           SH.EpochStop.store(true, std::memory_order_relaxed);
         }
         if (SH.EpochStop.load(std::memory_order_relaxed)) {
-          // Stash this item's entire unexplored remainder: splitWork over
-          // the whole stack donates every untried alternative, so stopping
-          // here loses nothing. (The item itself stays outstanding until
-          // the post-run finishItems.)
-          std::vector<std::vector<ScheduleChoice>> Rest;
-          Ex.splitWork(Rest, SIZE_MAX);
+          // Stash this item's unexplored remainder, handed back as the
+          // fleet hands back a stopped unit, so stopping here loses
+          // nothing. (The item itself stays outstanding until the
+          // post-run finishItems.)
+          std::vector<CheckpointUnit> Rest;
+          Ex.handBack(Rest);
           CountLock();
-          SH.stashPrefixes(std::move(Rest));
+          SH.stash(std::move(Rest));
           return false;
         }
         // First-bug pruning: everything this item would explore next is
@@ -427,14 +414,10 @@ CheckResult ParallelExplorer::run(const CheckpointState *From) {
         // take them without stopping us.
         if (MyStealReq.load(std::memory_order_relaxed)) {
           MyStealReq.store(false, std::memory_order_relaxed);
-          std::vector<std::vector<ScheduleChoice>> Prefixes;
-          Ex.splitWork(Prefixes, size_t(Jobs) * 2);
-          if (!Prefixes.empty()) {
-            size_t Donated = Prefixes.size();
-            std::vector<WorkItem> Items;
-            Items.reserve(Donated);
-            for (auto &P : Prefixes)
-              Items.push_back(WorkItem{std::move(P)});
+          std::vector<CheckpointUnit> Items;
+          Ex.splitWork(Items, size_t(Jobs) * 2);
+          if (!Items.empty()) {
+            size_t Donated = Items.size();
             SH.registerItems(Donated);
             MyDeque.publishTop(std::move(Items));
             // Lock-free wake; a miss is bounded by the park timeout.
@@ -500,11 +483,7 @@ CheckResult ParallelExplorer::run(const CheckpointState *From) {
   // valid between epochs, when every worker has joined (and therefore
   // merged its local totals).
   auto buildCheckpoint = [&]() {
-    std::vector<CheckpointUnit> Frontier;
-    Frontier.reserve(SH.Stash.size());
-    for (const auto &P : SH.Stash)
-      Frontier.push_back({P, P.size()});
-    return SH.Totals.checkpoint(std::move(Frontier), Opts.Seed);
+    return SH.Totals.checkpoint(SH.Stash, Opts.Seed);
   };
 
   std::shared_ptr<CheckpointState> ResumeOut; // Set when interrupted.
@@ -543,14 +522,11 @@ CheckResult ParallelExplorer::run(const CheckpointState *From) {
     SH.NextCheckpointAt.store(
         (SH.Executions.load(std::memory_order_relaxed) / Every + 1) * Every,
         std::memory_order_relaxed);
-    std::vector<WorkItem> Items;
-    Items.reserve(SH.Stash.size());
-    for (auto &P : SH.Stash)
-      Items.push_back(WorkItem{std::move(P)});
+    std::vector<CheckpointUnit> Units = std::move(SH.Stash);
     SH.Stash.clear();
     SH.EpochStop.store(false, std::memory_order_relaxed);
-    SH.registerItems(Items.size());
-    SH.Injector.pushAll(std::move(Items));
+    SH.registerItems(Units.size());
+    SH.Injector.pushAll(std::move(Units));
   }
 
   CheckResult Result = SH.Totals.finish(

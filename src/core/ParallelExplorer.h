@@ -13,14 +13,15 @@
 /// Stateless search parallelizes on a simple observation: every execution
 /// is a pure function of its choice sequence, so any subtree of the
 /// choice tree can be explored by whoever holds the prefix that reaches
-/// it. A work item is such a prefix; a worker replays it (the frozen
-/// prefix of Explorer::preloadSchedule), then runs the ordinary serial
-/// DFS strictly below it. Each worker keeps its items on a private steal
-/// deque; a starving worker steals half of another's deque or asks a busy
-/// one to split, and the victim carves the unexplored sibling
-/// alternatives off the *shallowest* record of its DFS stack -- the
-/// largest subtrees it owns -- onto its deque (work stealing by
-/// splitting).
+/// it. A work item is a CheckpointUnit (core/Schedule.h): such a prefix
+/// plus the length of its frozen head. A worker replays it
+/// (Explorer::preloadScheduleFrozenPrefix), then runs the ordinary serial
+/// DFS from it without advancing the frozen head. Each worker keeps its
+/// items on a private steal deque; a starving worker steals half of
+/// another's deque or asks a busy one to split, and the victim carves
+/// the unexplored sibling alternatives off the *shallowest* record of its
+/// DFS stack -- the largest subtrees it owns -- onto its deque (work
+/// stealing by splitting).
 ///
 /// The partition is exact -- every complete execution of the serial
 /// search runs on exactly one worker -- so the totals merged in
@@ -51,13 +52,14 @@ public:
   /// Runs the sharded search to completion (exhaustion, first bug, or a
   /// shared budget) and returns the aggregated result. With \p From it
   /// continues that checkpoint instead of starting at the tree root: the
-  /// frontier units are sharded into fully frozen subtree prefixes
-  /// (decomposeUnitToFrozenPrefixes) and the totals start from it. Honors
+  /// frontier units seed the injector as they are, steal requests fan
+  /// them out as they do the root, and the totals start from it. Honors
   /// CheckerOptions::CheckpointEvery / InterruptFlag at epoch granularity:
-  /// workers wind down at the next execution boundary, stash their
-  /// unexplored remainders (splitWork over the whole stack), and the
-  /// driver either writes a checkpoint and requeues the stash or returns
-  /// with CheckResult::Resume.
+  /// workers wind down at the next execution boundary and stash what
+  /// their explorers hand back (Explorer::handBack, the rule the fleet
+  /// uses too) along with their unstarted units, and the driver either
+  /// writes the stash as a checkpoint and requeues it or returns it in
+  /// CheckResult::Resume.
   CheckResult run(const CheckpointState *From = nullptr);
 
 private:

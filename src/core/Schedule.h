@@ -37,12 +37,16 @@
 #ifndef FSMC_CORE_SCHEDULE_H
 #define FSMC_CORE_SCHEDULE_H
 
-#include "core/Checker.h"
-
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace fsmc {
+
+struct CheckerOptions;
+struct CheckResult;
+struct TestProgram;
 
 /// One recorded choice: `Chosen` of `Num` options.
 struct ScheduleChoice {
@@ -60,6 +64,20 @@ struct ScheduleChoice {
   /// under --memory=tso|pso with at least one flush agent among the
   /// candidates. Shared by every sibling at the node, like SleepMask.
   uint64_t FlushMask = 0;
+};
+
+/// One unexplored region of the choice tree, and the one unit of work of
+/// every engine: the thread engine's deques, the fleet's leases and
+/// checkpoint frontiers all carry it. The region is Prefix's own path and
+/// every path DFS would reach after it by advancing a record at index
+/// FrozenLen or deeper (Explorer::preloadScheduleFrozenPrefix). FrozenLen
+/// is Prefix.size() for a donated sibling subtree, 0 for a serial DFS
+/// stack, and anything between for a handed-back continuation
+/// (Explorer::handBack).
+struct CheckpointUnit {
+  std::vector<ScheduleChoice> Prefix;
+  /// Leading records the explorer must not advance or pop.
+  size_t FrozenLen = 0;
 };
 
 /// Renders choices in the `fsmc1:` wire format.

@@ -27,7 +27,6 @@
 #define FSMC_CORE_WIRE_H
 
 #include "core/Checker.h"
-#include "core/Checkpoint.h"
 #include "core/Schedule.h"
 
 #include <cerrno>
@@ -69,9 +68,9 @@ struct WireWriter {
       raw(P, N * sizeof(uint64_t));
   }
   /// A work unit: its frozen length, then its prefix (WireReader::unit).
-  void unit(const std::vector<ScheduleChoice> &Prefix, size_t FrozenLen) {
-    u32(uint32_t(FrozenLen));
-    choices(Prefix);
+  void unit(const CheckpointUnit &U) {
+    u32(uint32_t(U.FrozenLen));
+    choices(U.Prefix);
   }
 };
 

@@ -20,19 +20,16 @@ void LeaseTable::enqueue(uint64_t Id) {
   Queue.insert(queueKey(Id));
 }
 
-uint64_t LeaseTable::add(std::vector<ScheduleChoice> Prefix,
-                         size_t FrozenLen) {
+uint64_t LeaseTable::add(CheckpointUnit U) {
   uint64_t Id = NextId++;
   Entry E;
-  E.U.Id = Id;
-  E.U.Prefix = std::move(Prefix);
-  E.U.FrozenLen = FrozenLen;
+  E.U = std::move(U);
   Entries.emplace(Id, std::move(E));
   enqueue(Id);
   return Id;
 }
 
-const WorkUnit *LeaseTable::lease(int Owner, double Now, double Deadline) {
+uint64_t LeaseTable::lease(int Owner, double Now, double Deadline) {
   // DFS-smallest first, but skip units still under backoff: a poison unit
   // must not block the healthy rest of the queue behind its cool-down.
   for (auto It = Queue.begin(); It != Queue.end(); ++It) {
@@ -43,10 +40,11 @@ const WorkUnit *LeaseTable::lease(int Owner, double Now, double Deadline) {
     E.Owner = Owner;
     E.Deadline = Deadline;
     ++NumLeased;
+    uint64_t Id = It->second;
     Queue.erase(It);
-    return &E.U;
+    return Id;
   }
-  return nullptr;
+  return 0;
 }
 
 void LeaseTable::commit(uint64_t Id) {
@@ -130,12 +128,15 @@ uint64_t LeaseTable::leasedBy(int Owner) const {
   return 0;
 }
 
-std::vector<const WorkUnit *> LeaseTable::pendingUnits() const {
-  std::vector<const WorkUnit *> Out;
+std::vector<CheckpointUnit> LeaseTable::pendingUnits() const {
+  std::vector<uint64_t> Ids;
   for (const auto &[Id, E] : Entries)
     if (E.St == LeaseState::Queued || E.St == LeaseState::Leased)
-      Out.push_back(&E.U);
-  std::sort(Out.begin(), Out.end(),
-            [](const WorkUnit *A, const WorkUnit *B) { return A->Id < B->Id; });
+      Ids.push_back(Id);
+  std::sort(Ids.begin(), Ids.end());
+  std::vector<CheckpointUnit> Out;
+  Out.reserve(Ids.size());
+  for (uint64_t Id : Ids)
+    Out.push_back(entry(Id).U);
   return Out;
 }

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The fleet coordinator's bookkeeping for work units (frozen schedule
-/// prefixes) held under leases. Pure data structure -- no processes, no
+/// The fleet coordinator's bookkeeping for work units (CheckpointUnits,
+/// core/Schedule.h) held under leases. Pure data structure -- no processes, no
 /// pipes, no clocks of its own (callers pass monotonic seconds in) -- so
 /// the recovery policy is unit-testable without forking anything
 /// (tests/core/WorkLeaseTest.cpp).
@@ -45,14 +45,6 @@
 
 namespace fsmc {
 
-/// One unit of fleet work: explore the subtree under a schedule prefix
-/// whose first FrozenLen choices are frozen (not backtracked into).
-struct WorkUnit {
-  uint64_t Id = 0;
-  std::vector<ScheduleChoice> Prefix;
-  size_t FrozenLen = 0;
-};
-
 /// Lease states, exposed for tests and the coordinator's accounting.
 enum class LeaseState : uint8_t {
   Queued,      ///< Waiting for a worker (possibly under backoff).
@@ -76,13 +68,14 @@ public:
   explicit LeaseTable(const Config &C) : Cfg(C) {}
 
   /// Adds a queued unit; returns its id.
-  uint64_t add(std::vector<ScheduleChoice> Prefix, size_t FrozenLen);
+  uint64_t add(CheckpointUnit U);
 
   /// Leases the DFS-smallest queued unit (by the Chosen indices of its
   /// prefix; ties go to the oldest) whose backoff has elapsed at \p Now,
-  /// marking it held by \p Owner until \p Deadline. Null when nothing is
-  /// issuable right now (backoff pending or queue empty).
-  const WorkUnit *lease(int Owner, double Now, double Deadline);
+  /// marking it held by \p Owner until \p Deadline, and returns its id.
+  /// 0 when nothing is issuable right now (backoff pending or queue
+  /// empty).
+  uint64_t lease(int Owner, double Now, double Deadline);
 
   /// The leased unit's result was merged; retires it.
   void commit(uint64_t Id);
@@ -118,7 +111,7 @@ public:
   size_t pendingCount() const { return Queue.size() + NumLeased; }
   size_t quarantinedCount() const { return NumQuarantined; }
 
-  const WorkUnit &unit(uint64_t Id) const { return entry(Id).U; }
+  const CheckpointUnit &unit(uint64_t Id) const { return entry(Id).U; }
   LeaseState state(uint64_t Id) const { return entry(Id).St; }
   int attempts(uint64_t Id) const { return entry(Id).Attempts; }
   int owner(uint64_t Id) const { return entry(Id).Owner; }
@@ -126,12 +119,13 @@ public:
   /// Id of the unit leased by \p Owner, or 0 (ids start at 1).
   uint64_t leasedBy(int Owner) const;
 
-  /// Every non-retired unit (queued + leased), for checkpoint drains.
-  std::vector<const WorkUnit *> pendingUnits() const;
+  /// Every non-retired unit (queued + leased) in id order, for
+  /// checkpoint drains.
+  std::vector<CheckpointUnit> pendingUnits() const;
 
 private:
   struct Entry {
-    WorkUnit U;
+    CheckpointUnit U;
     LeaseState St = LeaseState::Queued;
     int Attempts = 0; ///< Fatal attempts so far (all consecutive).
     double NotBefore = 0;

@@ -18,37 +18,38 @@ void WorkQueue::publishDepth() {
     Ctr->setGauge(obs::Gauge::WorkQueueDepth, Q.size());
 }
 
-void WorkQueue::pushAll(std::vector<WorkItem> Items) {
+void WorkQueue::pushAll(std::vector<CheckpointUnit> Items) {
   if (Items.empty())
     return;
   {
     std::lock_guard<std::mutex> Lock(M);
     if (Stopped)
       return;
-    for (WorkItem &I : Items)
+    for (CheckpointUnit &I : Items)
       Q.push_back(std::move(I));
     publishDepth();
   }
   CV.notify_all();
 }
 
-std::optional<WorkItem> WorkQueue::tryPop() {
+std::optional<CheckpointUnit> WorkQueue::tryPop() {
   std::lock_guard<std::mutex> Lock(M);
   if (Stopped || Q.empty())
     return std::nullopt;
-  WorkItem I = std::move(Q.front());
+  CheckpointUnit I = std::move(Q.front());
   Q.pop_front();
   publishDepth();
   return I;
 }
 
-std::optional<WorkItem> WorkQueue::popWait(std::chrono::microseconds Timeout) {
+std::optional<CheckpointUnit>
+WorkQueue::popWait(std::chrono::microseconds Timeout) {
   std::unique_lock<std::mutex> Lock(M);
   if (Q.empty() && !Stopped)
     CV.wait_for(Lock, Timeout);
   if (Stopped || Q.empty())
     return std::nullopt;
-  WorkItem I = std::move(Q.front());
+  CheckpointUnit I = std::move(Q.front());
   Q.pop_front();
   publishDepth();
   return I;

@@ -1,4 +1,4 @@
-//===- core/WorkQueue.h - Cold-path injector of prefix shards --*- C++ -*-===//
+//===- core/WorkQueue.h - Cold-path injector of work units -----*- C++ -*-===//
 //
 // Part of the fsmc project: a reproduction of "Fair Stateless Model
 // Checking" (Musuvathi & Qadeer, PLDI 2008).
@@ -17,9 +17,12 @@
 ///     and notifyAll() is the global wake signal (work published, search
 ///     over, epoch stop).
 ///
-/// Each item is one unexplored subtree of the DFS choice tree, identified
-/// by the frozen choice prefix that reaches its root (see
-/// Explorer::preloadSchedule(Frozen)).
+/// Each item is a CheckpointUnit (core/Schedule.h): a choice prefix and
+/// the length of its frozen head, which the worker preloads with
+/// Explorer::preloadScheduleFrozenPrefix. The root item is the empty
+/// prefix, a steal response's items are fully frozen sibling subtrees,
+/// and a resumed frontier or an epoch's hand-back may also hold
+/// continuations frozen only part of the way.
 ///
 /// Termination is *not* this queue's job anymore: the engine counts
 /// outstanding items in a shared atomic (see ParallelExplorer.cpp) and
@@ -46,19 +49,14 @@ namespace obs {
 struct WorkerCounters;
 } // namespace obs
 
-/// One unit of parallel search: the subtree of schedules below Prefix.
-struct WorkItem {
-  std::vector<ScheduleChoice> Prefix;
-};
-
 class WorkQueue {
 public:
   /// Enqueues \p Items and wakes every parked worker. Pushes never block
   /// or drop: a resumed frontier of any width seeds completely.
-  void pushAll(std::vector<WorkItem> Items);
+  void pushAll(std::vector<CheckpointUnit> Items);
 
   /// Non-blocking pop; nullopt when empty or stopped.
-  std::optional<WorkItem> tryPop();
+  std::optional<CheckpointUnit> tryPop();
 
   /// Park for up to \p Timeout or until notifyAll()/pushAll() wakes the
   /// caller, then pop if anything arrived. A nullopt return says only
@@ -66,7 +64,7 @@ public:
   /// count, then park again. Deliberately not a predicate loop: any wake
   /// reason (new work, search over, epoch stop) must return control to
   /// the caller's scan loop.
-  std::optional<WorkItem> popWait(std::chrono::microseconds Timeout);
+  std::optional<CheckpointUnit> popWait(std::chrono::microseconds Timeout);
 
   /// Wakes every parked worker without touching the queue.
   void notifyAll();
@@ -90,7 +88,7 @@ private:
   obs::WorkerCounters *Ctr = nullptr;
   std::mutex M;
   std::condition_variable CV;
-  std::deque<WorkItem> Q;
+  std::deque<CheckpointUnit> Q;
   /// Mirrors Q.size(); written under M, read without it.
   std::atomic<size_t> Depth{0};
   bool Stopped = false;

@@ -4,23 +4,23 @@
 
 using namespace fsmc;
 
-void WorkStealDeque::pushBottom(WorkItem &&Item) {
+void WorkStealDeque::pushBottom(CheckpointUnit &&Item) {
   std::lock_guard<std::mutex> Lock(M);
   Q.push_back(std::move(Item));
   Sz.store(Q.size(), std::memory_order_relaxed);
 }
 
-std::optional<WorkItem> WorkStealDeque::popBottom() {
+std::optional<CheckpointUnit> WorkStealDeque::popBottom() {
   std::lock_guard<std::mutex> Lock(M);
   if (Q.empty())
     return std::nullopt;
-  WorkItem I = std::move(Q.back());
+  CheckpointUnit I = std::move(Q.back());
   Q.pop_back();
   Sz.store(Q.size(), std::memory_order_relaxed);
   return I;
 }
 
-void WorkStealDeque::publishTop(std::vector<WorkItem> &&Items) {
+void WorkStealDeque::publishTop(std::vector<CheckpointUnit> &&Items) {
   if (Items.empty())
     return;
   std::lock_guard<std::mutex> Lock(M);
@@ -30,7 +30,7 @@ void WorkStealDeque::publishTop(std::vector<WorkItem> &&Items) {
   Sz.store(Q.size(), std::memory_order_relaxed);
 }
 
-size_t WorkStealDeque::stealTop(std::vector<WorkItem> &Out) {
+size_t WorkStealDeque::stealTop(std::vector<CheckpointUnit> &Out) {
   std::lock_guard<std::mutex> Lock(M);
   if (Q.empty())
     return 0;
@@ -43,10 +43,10 @@ size_t WorkStealDeque::stealTop(std::vector<WorkItem> &Out) {
   return Take;
 }
 
-size_t WorkStealDeque::drainAll(std::vector<WorkItem> &Out) {
+size_t WorkStealDeque::drainAll(std::vector<CheckpointUnit> &Out) {
   std::lock_guard<std::mutex> Lock(M);
   size_t N = Q.size();
-  for (WorkItem &I : Q)
+  for (CheckpointUnit &I : Q)
     Out.push_back(std::move(I));
   Q.clear();
   Sz.store(0, std::memory_order_relaxed);

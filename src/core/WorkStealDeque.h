@@ -24,8 +24,8 @@
 /// mutex. That mutex is *private* -- only its owner and an occasional
 /// thief touch it -- so in steady state it is uncontended and the
 /// uncontended fast path is a single atomic CAS in pthread_mutex_lock.
-/// This is deliberately not a Chase-Lev array: WorkItem is a non-trivial
-/// vector type, steals are rare once the search warms up (thief-driven,
+/// This is deliberately not a Chase-Lev array: a CheckpointUnit holds a
+/// vector, steals are rare once the search warms up (thief-driven,
 /// not donor-polled), and the exactness contract makes a lost or
 /// duplicated item catastrophic. What matters for scaling is that no
 /// *shared* lock is in the hot loop; a per-worker lock nobody else
@@ -40,7 +40,7 @@
 #ifndef FSMC_CORE_WORKSTEALDEQUE_H
 #define FSMC_CORE_WORKSTEALDEQUE_H
 
-#include "core/WorkQueue.h"
+#include "core/Schedule.h"
 
 #include <atomic>
 #include <deque>
@@ -50,30 +50,33 @@
 
 namespace fsmc {
 
+/// The older name of CheckpointUnit, kept for the ledger's deque rows.
+using WorkItem = CheckpointUnit;
+
 class WorkStealDeque {
 public:
   /// Owner: push one item at the bottom (explored next, LIFO).
-  void pushBottom(WorkItem &&Item);
+  void pushBottom(CheckpointUnit &&Item);
 
   /// Owner: pop the bottom item. Returns nullopt when empty.
-  std::optional<WorkItem> popBottom();
+  std::optional<CheckpointUnit> popBottom();
 
   /// Owner: splice a batch of freshly split prefixes onto the *top*,
   /// preserving \p Items order (front of Items ends up topmost). Callers
   /// pass splitWork output shallowest-first so thieves always grab the
   /// largest subtrees.
-  void publishTop(std::vector<WorkItem> &&Items);
+  void publishTop(std::vector<CheckpointUnit> &&Items);
 
   /// Thief: steal ceil(size/2) items from the top into \p Out (appended
   /// in top-to-bottom order, so Out.front() is the shallowest). Returns
   /// the number stolen, 0 if the deque was empty. Only the victim's lock
   /// is held; the thief deposits into its own deque afterwards, so no
   /// two deque locks are ever nested.
-  size_t stealTop(std::vector<WorkItem> &Out);
+  size_t stealTop(std::vector<CheckpointUnit> &Out);
 
   /// Owner (epoch wind-down): move every item into \p Out, bottom and
   /// top alike. Order is top-to-bottom.
-  size_t drainAll(std::vector<WorkItem> &Out);
+  size_t drainAll(std::vector<CheckpointUnit> &Out);
 
   /// Lock-free size probe; may be stale by the time the caller acts.
   size_t size() const { return Sz.load(std::memory_order_relaxed); }
@@ -81,7 +84,7 @@ public:
 
 private:
   mutable std::mutex M;
-  std::deque<WorkItem> Q;
+  std::deque<CheckpointUnit> Q;
   /// Mirrors Q.size(); written under M, read without it.
   std::atomic<size_t> Sz{0};
 };

@@ -14,6 +14,7 @@
 #include "core/Checker.h"
 
 #include "core/Checkpoint.h"
+#include "core/Explorer.h"
 #include "core/Schedule.h"
 #include "obs/StatsJson.h"
 #include "runtime/Runtime.h"
@@ -24,6 +25,7 @@
 #include "workloads/WorkloadRegistry.h"
 
 #include <gtest/gtest.h>
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -354,44 +356,78 @@ TEST(MemoryModel, TsoRunsEchoModelAndCounters) {
 }
 
 TEST(MemoryModel, CheckpointRoundTripsFlushMasks) {
-  // Frontier prefixes recorded under tso carry f-masks through the
-  // checkpoint text format and through decomposeUnitToFrozenPrefixes
-  // (the fleet sharding path).
-  CheckpointState CK;
-  CheckpointUnit U;
-  U.Prefix = {{1, 3, true, 0, 0x100000000ull},
-              {0, 2, true, 0x4, 0x300000000ull},
-              {1, 2, false, 0, 0}};
-  U.FrozenLen = 1;
-  CK.Frontier.push_back(U);
-  std::string Text = encodeCheckpoint(CK, "litmus-sb", 7);
+  // Stacks recorded under tso with POR carry f- and s-masks through the
+  // checkpoint text format and through Explorer::handBack, the rule every
+  // engine stops a unit with. Each decoded unit, frozen up to its first
+  // open node that has a mask, replays without divergence, and after one
+  // execution the explorer hands back that node's siblings with the
+  // node's masks, and a continuation that keeps every replayed record's.
+  CheckerOptions O = withMemory(MemoryModel::Tso);
+  O.Por = true;
+  O.StopOnFirstBug = false;
+  std::vector<CheckpointState> Saved;
+  CheckerOptions Saving = O;
+  Saving.CheckpointEvery = 1;
+  Saving.CheckpointSink = [&](const CheckpointState &CK) {
+    Saved.push_back(CK);
+  };
+  TestProgram Litmus = storeBufferLitmus(false); // outlives the explorers
+  ASSERT_TRUE(check(Litmus, Saving).Stats.SearchExhausted);
 
-  CheckpointState Back;
-  std::string Program, Err;
-  uint64_t Seed = 0;
-  ASSERT_TRUE(decodeCheckpoint(Text, Back, Program, Seed, Err)) << Err;
-  ASSERT_EQ(Back.Frontier.size(), 1u);
-  ASSERT_EQ(Back.Frontier[0].Prefix.size(), 3u);
-  for (size_t I = 0; I < 3; ++I) {
-    EXPECT_EQ(Back.Frontier[0].Prefix[I].FlushMask, U.Prefix[I].FlushMask);
-    EXPECT_EQ(Back.Frontier[0].Prefix[I].SleepMask, U.Prefix[I].SleepMask);
-  }
-
-  // Sharding a unit copies each sibling's node masks verbatim.
-  std::vector<std::vector<ScheduleChoice>> Shards =
-      decomposeUnitToFrozenPrefixes(Back.Frontier[0]);
-  ASSERT_FALSE(Shards.empty());
-  bool SawSibling = false;
-  for (const auto &Shard : Shards) {
-    ASSERT_FALSE(Shard.empty());
-    if (Shard.size() == 2 && Shard.back().Chosen == 1) {
-      // The untried sibling of record 1 keeps that node's masks.
-      EXPECT_EQ(Shard.back().FlushMask, 0x300000000ull);
-      EXPECT_EQ(Shard.back().SleepMask, 0x4ull);
-      SawSibling = true;
+  bool SawFlushSibling = false, SawSleepSibling = false;
+  for (const CheckpointState &CK : Saved) {
+    std::string Text = encodeCheckpoint(CK, "litmus-sb", 7);
+    CheckpointState Back;
+    std::string Program, Err;
+    uint64_t Seed = 0;
+    ASSERT_TRUE(decodeCheckpoint(Text, Back, Program, Seed, Err)) << Err;
+    ASSERT_EQ(Back.Frontier.size(), 1u);
+    CheckpointUnit U = Back.Frontier[0];
+    ASSERT_EQ(U.Prefix.size(), CK.Frontier[0].Prefix.size());
+    for (size_t I = 0; I < U.Prefix.size(); ++I) {
+      EXPECT_EQ(U.Prefix[I].FlushMask, CK.Frontier[0].Prefix[I].FlushMask);
+      EXPECT_EQ(U.Prefix[I].SleepMask, CK.Frontier[0].Prefix[I].SleepMask);
     }
+    size_t Node = 0;
+    while (Node < U.Prefix.size() &&
+           !(U.Prefix[Node].Backtrack &&
+             U.Prefix[Node].Chosen + 1 < U.Prefix[Node].Num &&
+             (U.Prefix[Node].FlushMask || U.Prefix[Node].SleepMask)))
+      ++Node;
+    if (Node == U.Prefix.size())
+      continue;
+    U.FrozenLen = Node;
+
+    Explorer E(Litmus, O);
+    E.preloadScheduleFrozenPrefix(U.Prefix, U.FrozenLen);
+    std::vector<CheckpointUnit> Rest;
+    E.setExecutionHook([&](Explorer &Ex) {
+      Ex.handBack(Rest);
+      return false;
+    });
+    CheckResult R = E.run();
+    EXPECT_EQ(R.Stats.Executions, 1u);
+    EXPECT_EQ(R.Stats.Divergences, 0u);
+    size_t Siblings = 0;
+    for (const CheckpointUnit &H : Rest) {
+      for (size_t I = 0; I < std::min(H.Prefix.size(), U.Prefix.size());
+           ++I) {
+        EXPECT_EQ(H.Prefix[I].FlushMask, U.Prefix[I].FlushMask);
+        EXPECT_EQ(H.Prefix[I].SleepMask, U.Prefix[I].SleepMask);
+      }
+      if (H.FrozenLen != H.Prefix.size())
+        continue; // the continuation
+      ++Siblings;
+      ASSERT_EQ(H.Prefix.size(), Node + 1);
+      EXPECT_GT(H.Prefix[Node].Chosen, U.Prefix[Node].Chosen);
+      SawFlushSibling |= H.Prefix[Node].FlushMask != 0;
+      SawSleepSibling |= H.Prefix[Node].SleepMask != 0;
+    }
+    EXPECT_EQ(Siblings,
+              size_t(U.Prefix[Node].Num - U.Prefix[Node].Chosen - 1));
   }
-  EXPECT_TRUE(SawSibling);
+  EXPECT_TRUE(SawFlushSibling);
+  EXPECT_TRUE(SawSleepSibling);
 }
 
 //===----------------------------------------------------------------------===

@@ -21,8 +21,12 @@
 #include "workloads/Peterson.h"
 #include "workloads/SpinWait.h"
 #include "workloads/WorkStealQueue.h"
+#include "workloads/WorkloadRegistry.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
 
 using namespace fsmc;
 
@@ -81,6 +85,36 @@ void expectSameFirstBug(const TestProgram &Program, CheckerOptions Opts) {
     EXPECT_EQ(Par.Bug->Message, Serial.Bug->Message);
     EXPECT_EQ(Par.Bug->AtStep, Serial.Bug->AtStep);
   }
+}
+
+TestProgram registryProgram(const std::string &Name) {
+  for (const RegisteredWorkload &W : allWorkloads())
+    if (W.Name == Name)
+      return W.Make();
+  ADD_FAILURE() << "registry workload '" << Name << "' not found";
+  return makePetersonProgram(PetersonConfig());
+}
+
+CheckerOptions contextBounded(int Cb) {
+  CheckerOptions O;
+  O.Kind = SearchKind::ContextBounded;
+  O.ContextBound = Cb;
+  O.StopOnFirstBug = false;
+  return O;
+}
+
+/// Runs \p U to exhaustion on a fresh serial explorer, appending the
+/// consumed path of each execution to \p Paths.
+CheckResult runUnit(const TestProgram &P, const CheckerOptions &O,
+                    const CheckpointUnit &U,
+                    std::vector<std::vector<int>> &Paths) {
+  Explorer E(P, O);
+  E.preloadScheduleFrozenPrefix(U.Prefix, U.FrozenLen);
+  E.setExecutionHook([&](Explorer &Ex) {
+    Paths.push_back(Ex.consumedPathKey());
+    return true;
+  });
+  return E.run();
 }
 
 } // namespace
@@ -270,6 +304,116 @@ TEST(ParallelFairness, FrozenPrefixConfinesTheSearch) {
 }
 
 //===----------------------------------------------------------------------===
+// Explorer::handBack: the rule both parallel engines stop a unit with.
+//===----------------------------------------------------------------------===
+
+TEST(HandBack, StoppedExplorerHandsBackTheRestInDfsOrder) {
+  // Stop a serial explorer after K executions and run what it hands back,
+  // in the order handed back: together with the K executions already run
+  // they are the serial run's executions in the serial order -- so the
+  // multiset is exact, and the continuation sorts before the siblings.
+  struct Case {
+    const char *Name;
+    int Cb;
+  };
+  for (Case C : {Case{"Dining Philosophers", 1}, Case{"Promise", 2}}) {
+    SCOPED_TRACE(C.Name);
+    TestProgram P = registryProgram(C.Name);
+    CheckerOptions O = contextBounded(C.Cb);
+    std::vector<std::vector<int>> Serial;
+    CheckResult Whole = runUnit(P, O, {}, Serial);
+    ASSERT_TRUE(Whole.Stats.SearchExhausted);
+    bool SawContinuation = false;
+    for (size_t K : {1, 2, 7, 50, 200}) {
+      SCOPED_TRACE("stopped after " + std::to_string(K));
+      ASSERT_LT(K, Serial.size());
+      std::vector<std::vector<int>> Paths;
+      std::vector<CheckpointUnit> Rest;
+      Explorer E(P, O);
+      E.setExecutionHook([&](Explorer &Ex) {
+        Paths.push_back(Ex.consumedPathKey());
+        if (Paths.size() < K)
+          return true;
+        Ex.handBack(Rest);
+        return false;
+      });
+      CheckResult First = E.run();
+      ASSERT_EQ(First.Stats.Executions, K);
+      ASSERT_FALSE(Rest.empty());
+      SawContinuation |= Rest.front().FrozenLen < Rest.front().Prefix.size();
+      for (size_t I = 1; I < Rest.size(); ++I) {
+        EXPECT_EQ(Rest[I].FrozenLen, Rest[I].Prefix.size())
+            << "only the first unit may be a continuation";
+        EXPECT_TRUE(dfsBefore(pathKeyOfPrefix(Rest[I - 1].Prefix),
+                              pathKeyOfPrefix(Rest[I].Prefix)));
+      }
+      uint64_t Transitions = First.Stats.Transitions;
+      for (const CheckpointUnit &U : Rest)
+        Transitions += runUnit(P, O, U, Paths).Stats.Transitions;
+      EXPECT_EQ(Paths, Serial);
+      EXPECT_EQ(Transitions, Whole.Stats.Transitions);
+    }
+    EXPECT_TRUE(SawContinuation);
+  }
+}
+
+TEST(HandBack, DonatedAlternativesAreNeverHandedBackAgain) {
+  // A thread-engine worker has often donated siblings (splitWork) before
+  // it stops. Those alternatives belong to other workers now, so the
+  // hand-back must skip them; a rule run on currentStackSnapshot(),
+  // which drops the Donated flags, would issue them twice.
+  TestProgram P = registryProgram("Dining Philosophers");
+  CheckerOptions O = contextBounded(1);
+  std::vector<std::vector<int>> Serial;
+  ASSERT_TRUE(runUnit(P, O, {}, Serial).Stats.SearchExhausted);
+  std::sort(Serial.begin(), Serial.end());
+
+  // Donations took every remaining alternative: nothing is left.
+  {
+    std::vector<CheckpointUnit> Donated, Rest;
+    bool SnapshotOpen = false;
+    uint64_t N = 0;
+    Explorer E(P, O);
+    E.setExecutionHook([&](Explorer &Ex) {
+      if (++N < 5)
+        return true;
+      Ex.splitWork(Donated, SIZE_MAX);
+      for (const ScheduleChoice &C : Ex.currentStackSnapshot())
+        SnapshotOpen |= C.Backtrack && C.Chosen + 1 < C.Num;
+      Ex.handBack(Rest);
+      return false;
+    });
+    E.run();
+    EXPECT_FALSE(Donated.empty());
+    EXPECT_TRUE(SnapshotOpen) << "the snapshot still shows alternatives";
+    EXPECT_TRUE(Rest.empty());
+  }
+
+  // Donations took some: donated and handed-back units together cover
+  // the serial multiset exactly.
+  {
+    std::vector<std::vector<int>> Paths;
+    std::vector<CheckpointUnit> Units;
+    Explorer E(P, O);
+    E.setExecutionHook([&](Explorer &Ex) {
+      Paths.push_back(Ex.consumedPathKey());
+      if (Paths.size() == 3 || Paths.size() == 9)
+        Ex.splitWork(Units, 1);
+      if (Paths.size() < 20)
+        return true;
+      Ex.handBack(Units);
+      return false;
+    });
+    E.run();
+    ASSERT_EQ(Paths.size(), 20u);
+    for (const CheckpointUnit &U : Units)
+      runUnit(P, O, U, Paths);
+    std::sort(Paths.begin(), Paths.end());
+    EXPECT_EQ(Paths, Serial);
+  }
+}
+
+//===----------------------------------------------------------------------===
 // Interrupt / resume at parallel widths (docs/ROBUSTNESS.md).
 //===----------------------------------------------------------------------===
 
@@ -318,34 +462,61 @@ TEST(ParallelResume, InterruptedParallelSearchResumesToTheSerialTotals) {
 
 TEST(ParallelResume, PeriodicParallelCheckpointIsIndependentlyResumable) {
   // Every periodic checkpoint of an uninterrupted parallel run must be a
-  // complete description of the remaining search: resuming the *first*
-  // one (serially) and adding nothing else reaches the full totals.
-  DiningConfig C;
-  C.Philosophers = 2;
-  C.Kind = DiningConfig::Variant::Mixed;
-  TestProgram P = makeDiningProgram(C);
-  CheckerOptions O;
+  // complete description of the remaining search: resuming any one of
+  // them alone, on any engine, reaches the serial totals. Swept over
+  // checkpoint intervals and widths, as the fleet's batch sweep is, on a
+  // search long enough that every case writes checkpoints.
+  TestProgram P = registryProgram("Dining Philosophers");
+  CheckerOptions O = contextBounded(1);
   O.ExportStateSignatures = true;
-
   CheckResult Serial = check(P, O);
   ASSERT_TRUE(Serial.Stats.SearchExhausted);
 
-  std::vector<CheckpointState> Checkpoints;
-  CheckerOptions Par = O;
-  Par.Jobs = 4;
-  Par.CheckpointEvery = 15;
-  Par.CheckpointSink = [&](const CheckpointState &CK) {
-    Checkpoints.push_back(CK);
+  CheckerOptions Jobs4 = O;
+  Jobs4.Jobs = 4;
+  CheckerOptions Fleet2 = O;
+  Fleet2.FleetWorkers = 2;
+  struct Engine {
+    const char *Name;
+    const CheckerOptions &Opts;
   };
-  CheckResult Full = check(P, Par);
-  ASSERT_TRUE(Full.Stats.SearchExhausted);
-  EXPECT_EQ(Full.Stats.Executions, Serial.Stats.Executions);
-  if (Checkpoints.empty())
-    GTEST_SKIP() << "search completed before the first epoch";
+  const Engine Engines[] = {{"serial", O}, {"jobs 4", Jobs4},
+                            {"fleet 2", Fleet2}};
 
-  CheckResult Resumed = resumeCheck(P, O, Checkpoints.front());
-  EXPECT_TRUE(Resumed.Stats.SearchExhausted);
-  EXPECT_EQ(Resumed.Stats.Executions, Serial.Stats.Executions);
-  EXPECT_EQ(Resumed.Stats.Transitions, Serial.Stats.Transitions);
-  EXPECT_EQ(Resumed.StateSignatures, Serial.StateSignatures);
+  for (uint64_t Every : {1, 16, 64})
+    for (int Jobs : JobCounts) {
+      SCOPED_TRACE("checkpoint every " + std::to_string(Every) + ", jobs " +
+                   std::to_string(Jobs));
+      std::vector<CheckpointState> Checkpoints;
+      CheckerOptions Par = O;
+      Par.Jobs = Jobs;
+      Par.CheckpointEvery = Every;
+      Par.CheckpointSink = [&](const CheckpointState &CK) {
+        Checkpoints.push_back(CK);
+      };
+      CheckResult Full = check(P, Par);
+      ASSERT_TRUE(Full.Stats.SearchExhausted);
+      EXPECT_EQ(Full.Stats.Executions, Serial.Stats.Executions);
+      ASSERT_FALSE(Checkpoints.empty());
+
+      // Checkpoints one execution apart differ by about one execution
+      // each; at interval 1 every 32nd and the last one stand for the
+      // rest, which keeps the sweep affordable under the sanitizers.
+      size_t Stride = Every == 1 ? 32 : 1;
+      std::vector<size_t> Picked;
+      for (size_t I = 0; I < Checkpoints.size(); I += Stride)
+        Picked.push_back(I);
+      if (Picked.back() + 1 != Checkpoints.size())
+        Picked.push_back(Checkpoints.size() - 1);
+      for (size_t I : Picked)
+        for (const Engine &En : Engines) {
+          SCOPED_TRACE("checkpoint " + std::to_string(I) + " resumed on " +
+                       En.Name);
+          CheckResult Resumed = resumeCheck(P, En.Opts, Checkpoints[I]);
+          EXPECT_TRUE(Resumed.Stats.SearchExhausted);
+          EXPECT_EQ(Resumed.Stats.Executions, Serial.Stats.Executions);
+          EXPECT_EQ(Resumed.Stats.Transitions, Serial.Stats.Transitions);
+          EXPECT_EQ(Resumed.StateSignatures, Serial.StateSignatures);
+        }
+    }
 }

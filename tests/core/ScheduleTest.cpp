@@ -7,6 +7,8 @@
 
 #include "core/Schedule.h"
 
+#include "core/Checker.h"
+
 #include "runtime/Runtime.h"
 #include "sync/Atomic.h"
 #include "sync/TestThread.h"

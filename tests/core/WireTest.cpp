@@ -55,8 +55,8 @@ TEST(Wire, UnitRoundTripsBetweenOtherFields) {
   WireWriter W;
   W.u64(42);
   for (size_t Frozen : {size_t(0), size_t(2), P.size()})
-    W.unit(P, Frozen);
-  W.unit({}, 0);
+    W.unit({P, Frozen});
+  W.unit({});
   W.u8(7);
 
   WireReader R = readerOf(W.Buf);
@@ -77,7 +77,7 @@ TEST(Wire, UnitRoundTripsBetweenOtherFields) {
 
 TEST(Wire, TruncatedUnitMarksTheReaderBad) {
   WireWriter W;
-  W.unit(samplePrefix(), 1);
+  W.unit({samplePrefix(), 1});
   for (size_t Keep = 0; Keep < W.Buf.size(); ++Keep) {
     SCOPED_TRACE(Keep);
     std::string Cut = W.Buf.substr(0, Keep);
@@ -90,20 +90,20 @@ TEST(Wire, TruncatedUnitMarksTheReaderBad) {
 TEST(Wire, FrozenLengthPastThePrefixIsRefused) {
   const std::vector<ScheduleChoice> P = samplePrefix();
   WireWriter W;
-  W.unit(P, P.size() + 1);
+  W.unit({P, P.size() + 1});
   WireReader R = readerOf(W.Buf);
   (void)R.unit();
   EXPECT_FALSE(R.Ok);
 
   WireWriter Empty;
-  Empty.unit({}, 1);
+  Empty.unit({{}, 1});
   WireReader RE = readerOf(Empty.Buf);
   (void)RE.unit();
   EXPECT_FALSE(RE.Ok);
 
   // A bad unit poisons the rest of the record, as a short one does.
   WireWriter Then;
-  Then.unit(P, P.size() + 1);
+  Then.unit({P, P.size() + 1});
   Then.u32(9);
   WireReader RT = readerOf(Then.Buf);
   (void)RT.unit();
@@ -113,7 +113,7 @@ TEST(Wire, FrozenLengthPastThePrefixIsRefused) {
 
 TEST(Wire, FramedUnitSurvivesByteAtATimeDelivery) {
   WireWriter W;
-  W.unit(samplePrefix(), 3);
+  W.unit({samplePrefix(), 3});
   std::string Frame(1, char(1));
   uint32_t Len = uint32_t(W.Buf.size());
   Frame.append(reinterpret_cast<const char *>(&Len), sizeof Len);

@@ -26,15 +26,13 @@ std::vector<ScheduleChoice> prefix(int Tag) {
 
 TEST(WorkLease, LifecycleQueuedLeasedCommitted) {
   LeaseTable LT;
-  uint64_t Id = LT.add(prefix(0), 1);
+  uint64_t Id = LT.add({prefix(0), 1});
   EXPECT_EQ(Id, 1u) << "ids start at 1 so 0 can mean 'none'";
   EXPECT_EQ(LT.queuedCount(), 1u);
   EXPECT_EQ(LT.state(Id), LeaseState::Queued);
 
-  const WorkUnit *U = LT.lease(/*Owner=*/7, /*Now=*/0.0, /*Deadline=*/5.0);
-  ASSERT_NE(U, nullptr);
-  EXPECT_EQ(U->Id, Id);
-  EXPECT_EQ(U->FrozenLen, 1u);
+  EXPECT_EQ(LT.lease(/*Owner=*/7, /*Now=*/0.0, /*Deadline=*/5.0), Id);
+  EXPECT_EQ(LT.unit(Id).FrozenLen, 1u);
   EXPECT_EQ(LT.state(Id), LeaseState::Leased);
   EXPECT_EQ(LT.owner(Id), 7);
   EXPECT_EQ(LT.leasedBy(7), Id);
@@ -53,17 +51,16 @@ TEST(WorkLease, LeasesDfsSmallestFirst) {
   // single worker must still walk them in serial DFS order: the deepest
   // sibling, then its parent's, then the root's.
   LeaseTable LT;
-  uint64_t Shallow = LT.add({{1, 2, true}}, 1);
-  uint64_t Mid = LT.add({{0, 2, true}, {1, 2, true}}, 2);
-  uint64_t Deep = LT.add({{0, 2, true}, {0, 2, true}, {1, 3, true}}, 3);
+  uint64_t Shallow = LT.add({{{1, 2, true}}, 1});
+  uint64_t Mid = LT.add({{{0, 2, true}, {1, 2, true}}, 2});
+  uint64_t Deep = LT.add({{{0, 2, true}, {0, 2, true}, {1, 3, true}}, 3});
   uint64_t Order[3] = {Deep, Mid, Shallow};
   for (uint64_t Want : Order) {
-    const WorkUnit *U = LT.lease(1, 0.0, 5.0);
-    ASSERT_NE(U, nullptr);
-    EXPECT_EQ(U->Id, Want);
-    LT.commit(U->Id);
+    uint64_t Id = LT.lease(1, 0.0, 5.0);
+    EXPECT_EQ(Id, Want);
+    LT.commit(Id);
   }
-  EXPECT_EQ(LT.lease(3, 0.0, 5.0), nullptr) << "queue is empty";
+  EXPECT_EQ(LT.lease(3, 0.0, 5.0), 0u) << "queue is empty";
 }
 
 TEST(WorkLease, FailRequeuesWithExponentialBackoff) {
@@ -72,24 +69,24 @@ TEST(WorkLease, FailRequeuesWithExponentialBackoff) {
   C.BackoffBaseSeconds = 0.05;
   C.BackoffCapSeconds = 2.0;
   LeaseTable LT(C);
-  uint64_t Id = LT.add(prefix(0), 0);
+  uint64_t Id = LT.add({prefix(0), 0});
 
   // Attempt 1 fails at t=0: backoff 0.05s.
-  ASSERT_NE(LT.lease(1, 0.0, 5.0), nullptr);
+  ASSERT_NE(LT.lease(1, 0.0, 5.0), 0u);
   EXPECT_EQ(LT.fail(Id, 0.0), LeaseTable::FailOutcome::Requeued);
   EXPECT_EQ(LT.attempts(Id), 1);
-  EXPECT_EQ(LT.lease(2, 0.01, 5.0), nullptr) << "still cooling down";
-  ASSERT_NE(LT.lease(2, 0.06, 5.0), nullptr);
+  EXPECT_EQ(LT.lease(2, 0.01, 5.0), 0u) << "still cooling down";
+  ASSERT_NE(LT.lease(2, 0.06, 5.0), 0u);
 
   // Attempt 2 fails at t=1: backoff doubles to 0.1s.
   EXPECT_EQ(LT.fail(Id, 1.0), LeaseTable::FailOutcome::Requeued);
-  EXPECT_EQ(LT.lease(3, 1.05, 5.0), nullptr);
-  ASSERT_NE(LT.lease(3, 1.11, 5.0), nullptr);
+  EXPECT_EQ(LT.lease(3, 1.05, 5.0), 0u);
+  ASSERT_NE(LT.lease(3, 1.11, 5.0), 0u);
 
   // Attempt 3 fails at t=2: backoff 0.2s; nextReadyAt reports the wake.
   EXPECT_EQ(LT.fail(Id, 2.0), LeaseTable::FailOutcome::Requeued);
   EXPECT_NEAR(LT.nextReadyAt(99.0), 2.2, 1e-9);
-  ASSERT_NE(LT.lease(4, 2.25, 5.0), nullptr);
+  ASSERT_NE(LT.lease(4, 2.25, 5.0), 0u);
 }
 
 TEST(WorkLease, BackoffIsCapped) {
@@ -98,32 +95,30 @@ TEST(WorkLease, BackoffIsCapped) {
   C.BackoffBaseSeconds = 0.05;
   C.BackoffCapSeconds = 2.0;
   LeaseTable LT(C);
-  uint64_t Id = LT.add(prefix(0), 0);
+  uint64_t Id = LT.add({prefix(0), 0});
   // Drive the attempt count high; the cool-down must clamp at the cap.
   // Each round leases well past the previous backoff window.
   double Now = 0;
   for (int I = 0; I < 12; ++I) {
-    ASSERT_NE(LT.lease(1, Now, Now + 100.0), nullptr);
+    ASSERT_NE(LT.lease(1, Now, Now + 100.0), 0u);
     LT.fail(Id, Now);
     Now += 10.0;
   }
   // Last failure at t=110 with 12 attempts: 0.05 * 2^11 >> 2.0, so the
   // unit must be issuable exactly 2.0s later, not minutes later.
-  EXPECT_EQ(LT.lease(1, 111.9, 200.0), nullptr);
-  ASSERT_NE(LT.lease(1, 112.01, 200.0), nullptr);
+  EXPECT_EQ(LT.lease(1, 111.9, 200.0), 0u);
+  ASSERT_NE(LT.lease(1, 112.01, 200.0), 0u);
 }
 
 TEST(WorkLease, BackoffDoesNotBlockOtherUnits) {
   LeaseTable LT;
-  uint64_t Poison = LT.add(prefix(0), 0);
-  uint64_t Healthy = LT.add(prefix(1), 0);
-  ASSERT_NE(LT.lease(1, 0.0, 5.0), nullptr);
+  uint64_t Poison = LT.add({prefix(0), 0});
+  uint64_t Healthy = LT.add({prefix(1), 0});
+  ASSERT_NE(LT.lease(1, 0.0, 5.0), 0u);
   LT.fail(Poison, 0.0);
   // The poison unit is older but cooling down; the healthy one must not
   // be stuck behind it.
-  const WorkUnit *U = LT.lease(2, 0.0, 5.0);
-  ASSERT_NE(U, nullptr);
-  EXPECT_EQ(U->Id, Healthy);
+  EXPECT_EQ(LT.lease(2, 0.0, 5.0), Healthy);
 }
 
 TEST(WorkLease, QuarantineAfterConsecutiveFatalAttempts) {
@@ -131,13 +126,13 @@ TEST(WorkLease, QuarantineAfterConsecutiveFatalAttempts) {
   C.QuarantineAfter = 3;
   C.BackoffBaseSeconds = 0.0;
   LeaseTable LT(C);
-  uint64_t Id = LT.add(prefix(0), 0);
+  uint64_t Id = LT.add({prefix(0), 0});
   for (int Attempt = 1; Attempt <= 2; ++Attempt) {
-    ASSERT_NE(LT.lease(1, 100.0 * Attempt, 1000.0), nullptr);
+    ASSERT_NE(LT.lease(1, 100.0 * Attempt, 1000.0), 0u);
     EXPECT_EQ(LT.fail(Id, 100.0 * Attempt),
               LeaseTable::FailOutcome::Requeued);
   }
-  ASSERT_NE(LT.lease(1, 300.0, 1000.0), nullptr);
+  ASSERT_NE(LT.lease(1, 300.0, 1000.0), 0u);
   EXPECT_EQ(LT.fail(Id, 300.0), LeaseTable::FailOutcome::Quarantined);
   EXPECT_EQ(LT.state(Id), LeaseState::Quarantined);
   EXPECT_EQ(LT.quarantinedCount(), 1u);
@@ -146,24 +141,22 @@ TEST(WorkLease, QuarantineAfterConsecutiveFatalAttempts) {
 
 TEST(WorkLease, ReleaseRequeuesFrontWithNoPenalty) {
   LeaseTable LT;
-  uint64_t A = LT.add(prefix(0), 0);
-  uint64_t B = LT.add(prefix(1), 0);
-  ASSERT_NE(LT.lease(1, 0.0, 5.0), nullptr);
+  uint64_t A = LT.add({prefix(0), 0});
+  uint64_t B = LT.add({prefix(1), 0});
+  ASSERT_NE(LT.lease(1, 0.0, 5.0), 0u);
   LT.release(A);
   EXPECT_EQ(LT.state(A), LeaseState::Queued);
   EXPECT_EQ(LT.attempts(A), 0) << "a drain is not the unit's fault";
   // The drained unit resumes first: it is still the DFS-smallest.
-  const WorkUnit *U = LT.lease(2, 0.0, 5.0);
-  ASSERT_NE(U, nullptr);
-  EXPECT_EQ(U->Id, A);
+  EXPECT_EQ(LT.lease(2, 0.0, 5.0), A);
   (void)B;
 }
 
 TEST(WorkLease, ForcedQuarantineFromAnyPendingState) {
   LeaseTable LT;
-  uint64_t First = LT.add(prefix(0), 0);
-  uint64_t StillQueued = LT.add(prefix(1), 0);
-  ASSERT_NE(LT.lease(1, 0.0, 5.0), nullptr); // leases First (oldest)
+  uint64_t First = LT.add({prefix(0), 0});
+  uint64_t StillQueued = LT.add({prefix(1), 0});
+  ASSERT_NE(LT.lease(1, 0.0, 5.0), 0u); // leases First (oldest)
   // Quarantine works on a leased unit (crash-suspect with its holder
   // gone) and on a queued one (no worker left to try it).
   LT.quarantine(First);
@@ -178,8 +171,8 @@ TEST(WorkLease, ForcedQuarantineFromAnyPendingState) {
 
 TEST(WorkLease, HeartbeatRenewalAndExpiry) {
   LeaseTable LT;
-  uint64_t Id = LT.add(prefix(0), 0);
-  ASSERT_NE(LT.lease(1, 0.0, /*Deadline=*/1.0), nullptr);
+  uint64_t Id = LT.add({prefix(0), 0});
+  ASSERT_NE(LT.lease(1, 0.0, /*Deadline=*/1.0), 0u);
   EXPECT_TRUE(LT.expiredLeases(0.5).empty());
   ASSERT_EQ(LT.expiredLeases(1.5).size(), 1u);
   EXPECT_EQ(LT.expiredLeases(1.5)[0], Id);
@@ -196,8 +189,8 @@ TEST(WorkLease, HeartbeatRenewalAndExpiry) {
 
 TEST(WorkLease, ZeroDeadlineNeverExpires) {
   LeaseTable LT;
-  uint64_t Id = LT.add(prefix(0), 0);
-  ASSERT_NE(LT.lease(1, 0.0, /*Deadline=*/0.0), nullptr);
+  uint64_t Id = LT.add({prefix(0), 0});
+  ASSERT_NE(LT.lease(1, 0.0, /*Deadline=*/0.0), 0u);
   EXPECT_TRUE(LT.expiredLeases(1e9).empty())
       << "deadline 0 means heartbeat supervision is off";
   LT.commit(Id);
@@ -205,16 +198,16 @@ TEST(WorkLease, ZeroDeadlineNeverExpires) {
 
 TEST(WorkLease, PendingUnitsSortedAndComplete) {
   LeaseTable LT;
-  uint64_t A = LT.add(prefix(0), 0);
-  uint64_t B = LT.add(prefix(1), 1);
-  uint64_t C = LT.add(prefix(2), 0);
-  ASSERT_NE(LT.lease(1, 0.0, 5.0), nullptr); // A leased
+  uint64_t A = LT.add({prefix(0), 0});
+  uint64_t B = LT.add({prefix(1), 1});
+  uint64_t C = LT.add({prefix(2), 0});
+  ASSERT_NE(LT.lease(1, 0.0, 5.0), 0u); // A leased
   LT.commit(A);
-  ASSERT_NE(LT.lease(2, 0.0, 5.0), nullptr); // B leased
+  ASSERT_NE(LT.lease(2, 0.0, 5.0), 0u); // B leased
   // Pending = leased B + queued C, sorted by id; committed A is gone.
-  std::vector<const WorkUnit *> P = LT.pendingUnits();
+  std::vector<CheckpointUnit> P = LT.pendingUnits();
   ASSERT_EQ(P.size(), 2u);
-  EXPECT_EQ(P[0]->Id, B);
-  EXPECT_EQ(P[0]->FrozenLen, 1u);
-  EXPECT_EQ(P[1]->Id, C);
+  EXPECT_EQ(P[0].Prefix[0].Chosen, LT.unit(B).Prefix[0].Chosen);
+  EXPECT_EQ(P[0].FrozenLen, 1u);
+  EXPECT_EQ(P[1].Prefix[0].Chosen, LT.unit(C).Prefix[0].Chosen);
 }

@@ -24,14 +24,14 @@ using namespace fsmc;
 
 namespace {
 
-/// Wraps an integer id as a WorkItem (the id rides in Prefix[0].Chosen).
-WorkItem item(int Id) {
-  WorkItem I;
+/// Wraps an integer id as a unit (the id rides in Prefix[0].Chosen).
+CheckpointUnit item(int Id) {
+  CheckpointUnit I;
   I.Prefix.push_back(ScheduleChoice{Id, Id + 1, true, 0, 0});
   return I;
 }
 
-int idOf(const WorkItem &I) {
+int idOf(const CheckpointUnit &I) {
   return I.Prefix.empty() ? -1 : I.Prefix[0].Chosen;
 }
 
@@ -42,7 +42,7 @@ TEST(WorkStealDeque, StartsEmpty) {
   EXPECT_TRUE(D.empty());
   EXPECT_EQ(D.size(), 0u);
   EXPECT_FALSE(D.popBottom().has_value());
-  std::vector<WorkItem> Out;
+  std::vector<CheckpointUnit> Out;
   EXPECT_EQ(D.stealTop(Out), 0u);
   EXPECT_TRUE(Out.empty());
 }
@@ -64,7 +64,7 @@ TEST(WorkStealDeque, PublishTopPreservesOrderAndPopsBottomFirst) {
   WorkStealDeque D;
   D.pushBottom(item(100));
   // Publish 10,11,12 on top, shallowest (10) topmost.
-  std::vector<WorkItem> Batch;
+  std::vector<CheckpointUnit> Batch;
   for (int I = 10; I <= 12; ++I)
     Batch.push_back(item(I));
   D.publishTop(std::move(Batch));
@@ -72,7 +72,7 @@ TEST(WorkStealDeque, PublishTopPreservesOrderAndPopsBottomFirst) {
   // The owner still sees its own deepest item first...
   EXPECT_EQ(idOf(*D.popBottom()), 100);
   // ...and a thief takes from the top in published order.
-  std::vector<WorkItem> Out;
+  std::vector<CheckpointUnit> Out;
   EXPECT_EQ(D.stealTop(Out), 2u); // ceil(3/2)
   ASSERT_EQ(Out.size(), 2u);
   EXPECT_EQ(idOf(Out[0]), 10);
@@ -85,7 +85,7 @@ TEST(WorkStealDeque, StealTakesHalfRoundedUpFromTop) {
     WorkStealDeque D;
     for (size_t I = 0; I < N; ++I)
       D.pushBottom(item(int(I)));
-    std::vector<WorkItem> Out;
+    std::vector<CheckpointUnit> Out;
     EXPECT_EQ(D.stealTop(Out), (N + 1) / 2) << "N=" << N;
     ASSERT_EQ(Out.size(), (N + 1) / 2);
     // Top of the deque = oldest pushes = shallowest prefixes.
@@ -104,7 +104,7 @@ TEST(WorkStealDeque, OneItemGoesToExactlyOneSide) {
     D.pushBottom(item(Round));
     std::atomic<int> Got{0};
     std::thread Thief([&] {
-      std::vector<WorkItem> Out;
+      std::vector<CheckpointUnit> Out;
       if (D.stealTop(Out)) {
         EXPECT_EQ(Out.size(), 1u);
         EXPECT_EQ(idOf(Out[0]), Round);
@@ -125,7 +125,7 @@ TEST(WorkStealDeque, DrainAllEmptiesAndCounts) {
   WorkStealDeque D;
   for (int I = 0; I < 6; ++I)
     D.pushBottom(item(I));
-  std::vector<WorkItem> Out;
+  std::vector<CheckpointUnit> Out;
   EXPECT_EQ(D.drainAll(Out), 6u);
   EXPECT_EQ(Out.size(), 6u);
   EXPECT_TRUE(D.empty());
@@ -145,7 +145,7 @@ TEST(WorkStealDeque, TerminationCountBalances) {
     D.pushBottom(item(I));
   }
   std::vector<bool> Seen(N, false);
-  std::vector<WorkItem> Loot;
+  std::vector<CheckpointUnit> Loot;
   while (true) {
     if (auto I = D.popBottom()) {
       ASSERT_FALSE(Seen[size_t(idOf(*I))]);
@@ -156,7 +156,7 @@ TEST(WorkStealDeque, TerminationCountBalances) {
     Loot.clear();
     if (!D.stealTop(Loot))
       break;
-    for (WorkItem &I : Loot) {
+    for (CheckpointUnit &I : Loot) {
       ASSERT_FALSE(Seen[size_t(idOf(I))]);
       Seen[size_t(idOf(I))] = true;
       Outstanding.fetch_sub(1);
@@ -182,11 +182,11 @@ TEST(WorkStealDeque, RandomizedStealStressPreservesMultiset) {
   std::vector<std::thread> Thieves;
   for (int T = 0; T < NumThieves; ++T)
     Thieves.emplace_back([&, T] {
-      std::vector<WorkItem> Out;
+      std::vector<CheckpointUnit> Out;
       while (!OwnerDone.load(std::memory_order_acquire) || !D.empty()) {
         Out.clear();
         if (D.stealTop(Out))
-          for (WorkItem &I : Out)
+          for (CheckpointUnit &I : Out)
             ThiefGot[size_t(T)].push_back(idOf(I));
         else
           std::this_thread::yield();
@@ -201,7 +201,7 @@ TEST(WorkStealDeque, RandomizedStealStressPreservesMultiset) {
       D.pushBottom(item(NextId++));
     } else if (Op < 6 && NextId < NumIds) {
       // Publish a small batch on top, like a splitWork response.
-      std::vector<WorkItem> Batch;
+      std::vector<CheckpointUnit> Batch;
       size_t K = 1 + Rng() % 5;
       for (size_t I = 0; I < K && NextId < NumIds; ++I)
         Batch.push_back(item(NextId++));

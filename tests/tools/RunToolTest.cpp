@@ -560,6 +560,37 @@ TEST_F(RunTool, FleetResumeReachesUninterruptedTotals) {
   EXPECT_EQ(jsonInt(Json, "transitions"), Trans);
 }
 
+TEST_F(RunTool, ParallelCheckpointResumesOnTheOtherEngines) {
+  // A --jobs checkpoint file holds the units the workers handed back;
+  // resumed serially or on the fleet it must finish with exactly the
+  // uninterrupted serial run's executions and transitions.
+  std::string Straight = Dir + "/straight.json";
+  ASSERT_EQ(run({"--program=peterson", "--cb=2", "--stats-json=" + Straight,
+                 "--quiet"}),
+            0);
+  long long Execs = jsonInt(slurp(Straight), "executions");
+  long long Trans = jsonInt(slurp(Straight), "transitions");
+  ASSERT_GT(Execs, 300);
+
+  std::string Ckpt = Dir + "/jobs.ckpt";
+  ASSERT_EQ(run({"--program=peterson", "--cb=2", "--jobs=4",
+                 "--executions=300", "--checkpoint=" + Ckpt,
+                 "--checkpoint-every=25", "--quiet"}),
+            0);
+  ASSERT_TRUE(contains(slurp(Ckpt), "fsmc-ckpt 4"));
+  for (const char *Engine : {"--jobs=1", "--fleet=2"}) {
+    SCOPED_TRACE(Engine);
+    std::string Stats = Dir + "/resumed.json";
+    ASSERT_EQ(run({"--resume=" + Ckpt, "--cb=2", Engine,
+                   "--stats-json=" + Stats, "--quiet"}),
+              0);
+    std::string Json = slurp(Stats);
+    EXPECT_TRUE(contains(Json, "\"search_exhausted\": true")) << Json;
+    EXPECT_EQ(jsonInt(Json, "executions"), Execs);
+    EXPECT_EQ(jsonInt(Json, "transitions"), Trans);
+  }
+}
+
 TEST_F(RunTool, FleetChaosCountersLandInStatsJson) {
   // Acceptance criterion: under FSMC_FLEET_CHAOS=kill:3 the verdict and
   // explored multiset are unchanged (no lost or duplicated units) and

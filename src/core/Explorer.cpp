@@ -23,6 +23,10 @@ using namespace fsmc;
 Explorer::Explorer(const TestProgram &Program, const CheckerOptions &Opts)
     : Program(Program), Opts(Opts), Rng(Opts.Seed) {
   Strategy = SearchStrategy::create(this->Opts);
+  // Room for the longest execution up front: growing a long trace by
+  // doubling holds the old and the new buffer at once, and that set the
+  // peak RSS of the liveness searches. Pages are touched only as used.
+  CurTrace.reserve(std::min<uint64_t>(executionCap(), MaxReservedSteps));
   if (this->Opts.Obs) {
     Obs = this->Opts.Obs;
     Ctr = &Obs->shard(0);

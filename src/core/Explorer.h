@@ -364,6 +364,8 @@ private:
   /// The current execution's steps. Holds the previous execution's while
   /// decideLean replays them.
   Trace CurTrace;
+  /// Most trace events reserved up front (40 MiB of address space).
+  static constexpr uint64_t MaxReservedSteps = uint64_t(1) << 20;
   /// Scratch for serializing Stack into ScheduleChoices (bug reports,
   /// race incidents); a member so repeated serialization reuses capacity.
   std::vector<struct ScheduleChoice> SchedScratch;

@@ -52,6 +52,8 @@ static_assert(sizeof(TraceEvent) == 40,
 class Trace {
 public:
   void record(const TraceEvent &E) { Events.push_back(E); }
+  /// Makes room for \p N events without recording any.
+  void reserve(size_t N) { Events.reserve(N); }
   /// Drops every event from index \p N on.
   void truncate(size_t N) {
     if (N < Events.size())

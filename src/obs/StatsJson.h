@@ -8,7 +8,7 @@
 /// \file
 /// Renders a CheckResult (verdict, SearchStats, bug report, live counter
 /// snapshot) as one JSON object -- the `--stats-json=FILE|-` output of
-/// fsmc_run and the format bench/CI tooling diffs across revisions. The
+/// fsmc_run and the format CI tooling diffs across revisions. The
 /// schema is documented in docs/OBSERVABILITY.md; `schema` is bumped on
 /// incompatible changes.
 ///

@@ -5,7 +5,6 @@
 #include "support/OutStream.h"
 
 #include <cassert>
-#include <cstdio>
 
 using namespace fsmc;
 
@@ -16,15 +15,6 @@ void TablePrinter::addRow(std::vector<std::string> Cells) {
   assert(Cells.size() <= Headers.size() && "row has more cells than headers");
   Cells.resize(Headers.size());
   Rows.push_back(std::move(Cells));
-}
-
-std::string TablePrinter::cellSeconds(double Secs) {
-  char Buf[32];
-  if (Secs < 0.01)
-    std::snprintf(Buf, sizeof(Buf), "%.4f", Secs);
-  else
-    std::snprintf(Buf, sizeof(Buf), "%.2f", Secs);
-  return Buf;
 }
 
 void TablePrinter::print(OutStream &OS) const {

@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A tiny fixed-width text table builder used by the benchmark harnesses to
-/// print rows in the same layout as the paper's Tables 1-3 and the data
-/// series behind Figures 2, 5 and 6.
+/// A tiny fixed-width table builder whose output is also a markdown table:
+/// EXPERIMENTS.md's generated tables (bench/paper_tables) and fsmc_run's
+/// counter reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,12 +42,6 @@ public:
   /// Helpers for common cell formats.
   static std::string cell(uint64_t V) { return std::to_string(V); }
   static std::string cell(int V) { return std::to_string(V); }
-  static std::string cellSeconds(double Secs);
-  /// Renders a count with a trailing '*' marker, the paper's notation for
-  /// searches that did not terminate within the time budget.
-  static std::string cellTimedOut(uint64_t V) {
-    return std::to_string(V) + "*";
-  }
 
 private:
   std::vector<std::string> Headers;

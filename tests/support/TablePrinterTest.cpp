@@ -32,7 +32,4 @@ TEST(TablePrinter, MissingCellsRenderEmpty) {
 TEST(TablePrinter, CellHelpers) {
   EXPECT_EQ(TablePrinter::cell(uint64_t(42)), "42");
   EXPECT_EQ(TablePrinter::cell(-3), "-3");
-  EXPECT_EQ(TablePrinter::cellTimedOut(245), "245*");
-  EXPECT_EQ(TablePrinter::cellSeconds(1.234), "1.23");
-  EXPECT_EQ(TablePrinter::cellSeconds(0.0042), "0.0042");
 }

@@ -13,6 +13,12 @@
 /// others, feeding the D(u) sets of Algorithm 1). `tryLock` is the
 /// non-blocking TryAcquire of Figure 1: always enabled, may fail.
 ///
+/// `std::lock_guard<Mutex>` and `std::unique_lock<Mutex>` work, also on
+/// executions the checker cuts: an `unlock` run by the unwinding of a
+/// cut thread does nothing, and a thread cut while parked at the
+/// `unlock` inside a guard's noexcept destructor is left as it is (see
+/// "How an execution works" in README.md).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef FSMC_SYNC_MUTEX_H

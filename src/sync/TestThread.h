@@ -12,6 +12,12 @@
 /// visible operations; placing one on the back edge of every spin loop is
 /// what makes a program good-samaritan-conforming (Section 2).
 ///
+/// When the checker cuts an execution, it unwinds each unfinished thread
+/// by an exception thrown from the operation the thread is parked at, so
+/// the objects on its stack are destroyed. A thread parked inside a
+/// `noexcept` body or destructor, or inside a `try` block, is left as it
+/// is instead; README.md ("How an execution works") has the details.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef FSMC_SYNC_TESTTHREAD_H

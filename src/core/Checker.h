@@ -370,10 +370,11 @@ struct CheckerOptions {
   /// Small units mean fine-grained recovery, large ones less protocol
   /// overhead.
   int BatchSize = 64;
-  /// Worker watchdog: a worker that finishes no execution for this long
-  /// is SIGKILLed; under isolation the execution is recorded as
-  /// Verdict::Hang. Must exceed the wall time of the slowest single
-  /// execution.
+  /// Worker watchdog and heartbeat deadline: a fleet or isolated worker
+  /// that finishes no execution for this long is SIGKILLed; under
+  /// isolation the execution is recorded as Verdict::Hang, in a fleet its
+  /// unit is re-issued. Must exceed the wall time of the slowest single
+  /// execution; <= 0 means 10 s.
   double HangTimeoutSeconds = 10.0;
   /// A recorded prefix that fails to replay (the workload is
   /// nondeterministic beyond scheduling/chooseInt) is re-executed this
@@ -406,10 +407,6 @@ struct CheckerOptions {
   /// Replacement workers the coordinator may fork after deaths before
   /// degrading to reduced width. Negative = 2*FleetWorkers+2.
   int FleetRespawnBudget = -1;
-  /// Heartbeat silence after which a live-but-stuck worker is declared
-  /// hung and killed; 0 disables (chaos tests use HangTimeoutSeconds-like
-  /// tuning). Defaults to HangTimeoutSeconds at runFleet entry when <= 0.
-  double FleetHeartbeatTimeout = 0;
 };
 
 /// A test program: a closure run as thread 0 of every execution. It may

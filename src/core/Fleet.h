@@ -10,34 +10,23 @@
 /// long-lived worker processes and streams leased work units -- frozen
 /// schedule prefixes with an execution budget -- over pipes, merging each
 /// unit's stats, incidents and remainder prefixes back deterministically.
+/// Unlike --jobs=N, a crashing workload costs one uncommitted attempt: a
+/// dead or silent worker's unit is re-issued with backoff, quarantined as
+/// a replayable Verdict::Crash after FleetQuarantine deaths, and dead
+/// workers are replaced up to a respawn budget, after which the fleet
+/// narrows and, with no worker left, finishes in-process. SIGINT drains
+/// the leases into one resumable checkpoint. On exhaustive searches
+/// verdicts, stats and incident sets equal --jobs=N, under
+/// FSMC_FLEET_CHAOS fault injection too.
 ///
-/// The robustness contract, and the difference from --jobs=N (threads: a
-/// crashing workload kills the whole search):
+/// Under IsolationMode::Batch the fleet provides crash isolation: one
+/// worker, units leased in DFS order (so executions run in the serial
+/// order), and a worker death committed through its last finished
+/// execution and recorded as a replayable Verdict::Crash / Verdict::Hang
+/// incident; the search continues past it. Random walks run here too.
 ///
-///   - a worker that crashes, exits or goes silent past its heartbeat
-///     deadline loses only its uncommitted attempt; the unit is re-issued
-///     with exponential backoff (every commit is one atomic record, so an
-///     attempt either merges completely or not at all);
-///   - a unit that kills FleetQuarantine consecutive workers is
-///     quarantined as a replayable Verdict::Crash incident;
-///   - dead workers are replaced up to a respawn budget, then the fleet
-///     degrades to reduced width; with every worker gone, never-failed
-///     units finish in-process and crash-suspect units are quarantined;
-///   - SIGINT/SIGTERM drains the outstanding leases into one checkpoint
-///     whose frontier reproduces the uninterrupted multiset on --resume.
-///
-/// On exhaustive searches the committed-stats-plus-pending-units
-/// invariant makes verdicts, stats and incident sets identical to
-/// --jobs=N -- including under FSMC_FLEET_CHAOS fault injection, where
-/// only the fleet_* recovery counters and wall time change.
-///
-/// Under IsolationMode::Batch the fleet provides crash isolation: one worker,
-/// units leased in DFS order (so executions run in the serial order), a
-/// progress record per execution, and a worker death committed through
-/// its last finished execution, attributed by a probe re-run and recorded
-/// as a replayable Verdict::Crash / Verdict::Hang incident; the search
-/// continues past the crashing execution on a respawned worker, with no
-/// respawn budget, re-issue or quarantine. Random walks run here too.
+/// The policy is core/FleetCoordinator.h; this header's runFleet drives
+/// it with processes.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -91,6 +91,7 @@ public:
   /// The stats total; engines count their own rows (checkpoints, fleet
   /// recovery) here directly.
   SearchStats &stats() { return Stats; }
+  const SearchStats &stats() const { return Stats; }
 
   const U64Set &states() const { return States; }
 

@@ -444,8 +444,9 @@ TEST(FleetChaos, HungWorkerIsDetectedByHeartbeatAndRecovered) {
   CheckerOptions Base = fleetOpts(exhaustiveOpts(2), /*Workers=*/2,
                                   /*Batch=*/16);
   Base.FleetQuarantine = 10;
-  // Tight heartbeat so the hang is declared in well under a second.
-  Base.FleetHeartbeatTimeout = 0.4;
+  // Tight heartbeat deadline so the hang is declared in well under a
+  // second.
+  Base.HangTimeoutSeconds = 0.4;
   CheckResult Clean;
   {
     ChaosEnv Env(nullptr);

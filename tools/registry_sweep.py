@@ -9,11 +9,28 @@ configurations, each capped at 3000 executions:
   --cb=1 --memory=tso    the same search under store buffers
   --cb=1 --por=on        the same search with sleep-set reduction
 
-plus the dining-livelock divergence hunt at --bound=300. For each run it
-prints one line: the program, the configuration, the --stats-json report
-with its timing fields stripped, and a digest of the --trace-out trace.
-Everything printed is a function of the code alone, so two builds that
-explore identically print identical output:
+plus the dining-livelock divergence hunt at --bound=300, and two legs on
+the process engines:
+
+  --cb=1 --coverage --isolate=batch --checkpoint-every=100
+                         crash isolation under the same cap, which also
+                         digests the last periodic checkpoint; one worker
+                         runs its units in DFS order, so the leg is
+                         deterministic
+  --cb=1 --coverage --fleet=2
+                         a two-worker fleet, only where the --coverage
+                         run exhausted within the cap (a capped wide fleet
+                         overshoots by timing). Above width 1 a worker is
+                         also stopped early to feed an idle one, so where
+                         units end moves with timing, and with it the
+                         rows FLEET_TIMED strips: the units committed,
+                         the bytes of their hand-backs, and the coverage
+                         hits, which a unit counts against its own states
+
+For each run it prints one line: the program, the configuration, the
+--stats-json report with its timing fields stripped, and a digest of the
+--trace-out trace. Everything printed is a function of the code alone, so
+two builds that explore identically print identical output:
 
   python3 tools/registry_sweep.py --fsmc-run A/tools/fsmc_run > a.txt
   python3 tools/registry_sweep.py --fsmc-run B/tools/fsmc_run > b.txt
@@ -36,15 +53,20 @@ CONFIGS = [
 ]
 EXECUTIONS = 3000  # cap per configuration run; uncapped for EXTRA_RUNS
 EXTRA_RUNS = [("dining-livelock", ["--bound=300"])]
+ISOLATE = ["--cb=1", "--coverage", "--isolate=batch", "--checkpoint-every=100"]
+FLEET = ["--cb=1", "--coverage", "--fleet=2"]
+FLEET_TIMED = ("fleet_units", "donation_bytes", "state_hits", "hit_rate")
 
 
-def strip_timing(node):
-    """Drops wall-clock fields, which differ from run to run."""
+def strip_timing(node, extra=()):
+    """Drops wall-clock fields, which differ from run to run, and the
+    keys in extra."""
     if isinstance(node, dict):
-        return {k: strip_timing(v) for k, v in node.items()
-                if k != "seconds" and not k.endswith(("_s", "_ns", "_per_sec"))}
+        return {k: strip_timing(v, extra) for k, v in node.items()
+                if k != "seconds" and k not in extra
+                and not k.endswith(("_s", "_ns", "_per_sec"))}
     if isinstance(node, list):
-        return [strip_timing(v) for v in node]
+        return [strip_timing(v, extra) for v in node]
     return node
 
 
@@ -57,26 +79,34 @@ def file_digest(path):
 
 
 def run_one(fsmc_run, tmp, index, program, flags):
+    """Runs one search; returns its line and its stop reason."""
     stats = os.path.join(tmp, "%d.json" % index)
     trace = os.path.join(tmp, "%d.jsonl" % index)
+    ckpt = os.path.join(tmp, "%d.ckpt" % index)
     cmd = [fsmc_run, "--program=" + program, "--quiet",
            "--stats-json=" + stats, "--trace-out=" + trace] + flags
+    if "--checkpoint-every" in " ".join(flags):
+        cmd.append("--checkpoint=" + ckpt)
     proc = subprocess.run(cmd, stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True)
     label = "%s %s" % (program, " ".join(flags))
     # Exit 1 means a bug was found, which is a result like any other.
     if proc.returncode not in (0, 1) or not os.path.isfile(stats):
         return "%s exit=%d %s" % (label, proc.returncode,
-                                  proc.stderr.strip().replace("\n", " | "))
+                                  proc.stderr.strip().replace("\n", " | ")), None
     with open(stats) as f:
-        report = strip_timing(json.load(f))
+        raw = json.load(f)
+    report = strip_timing(raw, FLEET_TIMED if "--fleet=2" in flags else ())
     line = "%s exit=%d %s trace=%s" % (
         label, proc.returncode, json.dumps(report, sort_keys=True,
                                            separators=(",", ":")),
         file_digest(trace))
+    if os.path.isfile(ckpt):
+        line += " ckpt=" + file_digest(ckpt)
+        os.remove(ckpt)
     os.remove(stats)
     os.remove(trace)
-    return line
+    return line, raw.get("stop_reason")
 
 
 def main():
@@ -89,16 +119,28 @@ def main():
 
     listing = subprocess.run([args.fsmc_run, "--list"], capture_output=True,
                              text=True, check=True).stdout.split()
-    runs = [(prog, cfg + ["--executions=%d" % EXECUTIONS]) for prog in listing
-            if not prog.startswith("crashfault-") for cfg in CONFIGS]
+    cap = ["--executions=%d" % EXECUTIONS]
+    programs = [p for p in listing if not p.startswith("crashfault-")]
+    runs = [(prog, cfg + cap) for prog in programs
+            for cfg in CONFIGS + [ISOLATE]]
     runs += EXTRA_RUNS
 
     with tempfile.TemporaryDirectory(prefix="registry_sweep.") as tmp:
         with concurrent.futures.ThreadPoolExecutor(max(1, args.jobs)) as pool:
-            futures = [pool.submit(run_one, args.fsmc_run, tmp, i, prog, flags)
-                       for i, (prog, flags) in enumerate(runs)]
-            for fut in futures:
-                print(fut.result(), flush=True)
+            def sweep(runs, start):
+                futures = [pool.submit(run_one, args.fsmc_run, tmp, start + i,
+                                       prog, flags)
+                           for i, (prog, flags) in enumerate(runs)]
+                results = [fut.result() for fut in futures]
+                for line, _ in results:
+                    print(line, flush=True)
+                return results
+
+            results = sweep(runs, 0)
+            exhausted = [prog for (prog, flags), (_, stop) in zip(runs, results)
+                         if flags == CONFIGS[0] + cap
+                         and stop == "search_exhausted"]
+            sweep([(prog, FLEET + cap) for prog in exhausted], len(runs))
     return 0
 
 

@@ -52,6 +52,12 @@ void Explorer::emitEvent(obs::ObsEvent E) {
 
 Explorer::~Explorer() = default;
 
+void Explorer::keepSteps(uint64_t N) {
+  CurTrace.truncate(N);
+  if (N < PorSteps.size())
+    PorSteps.resize(N);
+}
+
 bool Explorer::timeExceeded() const {
   if (Opts.TimeBudgetSeconds <= 0)
     return false;
@@ -492,6 +498,11 @@ struct Explorer::ExecState {
   bool OthersEnabled = false;
 
   EndCause End = EndCause::None;
+
+  /// The sleep hits and fair wakes decide() counted at this step, for
+  /// its PorStep.
+  uint32_t StepSleepHits = 0;
+  uint32_t StepFairWakes = 0;
 };
 
 /// "Others enabled" feeds the good-samaritan monitor, which reasons about
@@ -556,6 +567,8 @@ bool Explorer::decideLean(ExecState &X) {
     if (StreamCb)
       StreamCb(R.Chosen, R.Num, R.Backtrack, R.SleepMask, R.FlushMask);
   }
+  if (Opts.Por)
+    replayPorCounts();
   X.T = T;
   X.Op = Op;
   X.Replaying = true;
@@ -566,6 +579,23 @@ bool Explorer::decideLean(ExecState &X) {
   return true;
 }
 
+void Explorer::replayPorCounts() {
+  // The sleep set is a function of the path prefix, so the recorded step
+  // is this one: its decision counted these sleep hits and fair wakes.
+  assert(CurSteps < PorSteps.size() && "lean POR step without a record");
+  const PorStep &P = PorSteps[CurSteps];
+  if (P.SleepHits) {
+    Result.Stats.PorSleepHits += P.SleepHits;
+    if (Ctr)
+      Ctr->add(obs::Counter::PorSleepHits, P.SleepHits);
+  }
+  if (P.FairWakes) {
+    Result.Stats.PorFairWakes += P.FairWakes;
+    if (Ctr)
+      Ctr->add(obs::Counter::PorFairWakes, P.FairWakes);
+  }
+}
+
 bool Explorer::decide(ExecState &X) {
   if (CurSteps < X.LeanEnd) {
     if (decideLean(X))
@@ -573,7 +603,7 @@ bool Explorer::decide(ExecState &X) {
     // This execution departs from the previous one here: decide this
     // step and every later one in full, recording them afresh.
     X.LeanEnd = CurSteps;
-    CurTrace.truncate(CurSteps);
+    keepSteps(CurSteps);
   }
   X.Lean = false;
   Runtime &RT = X.RT;
@@ -611,6 +641,8 @@ bool Explorer::decide(ExecState &X) {
   uint64_t SleepMaskHere = 0;
   if (Opts.Por) {
     ThreadSet Sleeping = Cands.Set & X.Sleep;
+    X.StepSleepHits = Sleeping.size();
+    X.StepFairWakes = 0;
     if (!Sleeping.empty()) {
       Result.Stats.PorSleepHits += Sleeping.size();
       if (Ctr)
@@ -632,6 +664,7 @@ bool Explorer::decide(ExecState &X) {
           // already-explored sibling branch covers.
           Cands.Set = Sleeping;
           X.Sleep -= Sleeping;
+          X.StepFairWakes = Sleeping.size();
           Result.Stats.PorFairWakes += Sleeping.size();
           if (Ctr)
             Ctr->add(obs::Counter::PorFairWakes, Sleeping.size());
@@ -832,18 +865,8 @@ bool Explorer::afterTransition(ExecState &X, StepStatus St) {
     }
   }
 
-  if (Opts.Por) {
-    // Wake every sleeper whose pending move conflicts with the executed
-    // operation: the orders now differ in observable effect. The
-    // dependence oracle (core/Dependence.h) is tid-aware -- a sleeping
-    // Join(t) wakes on any transition executed by t, and on nothing
-    // else t-related.
-    X.Sleep.erase(T);
-    for (Tid S : X.Sleep)
-      if (!RT.liveSet().contains(S) ||
-          !independentTransitions(S, RT.pendingOf(S), T, Op))
-        X.Sleep.erase(S);
-  }
+  if (Opts.Por)
+    wakeSleepers(X);
 
   // Flush agents are exempt from liveness accounting: they never yield
   // by design, so feeding their transitions to the monitor would trip
@@ -928,6 +951,27 @@ bool Explorer::afterTransition(ExecState &X, StepStatus St) {
 
   X.Prev = (St == StepStatus::Finished) ? -1 : T;
   return true;
+}
+
+void Explorer::wakeSleepers(ExecState &X) {
+  if (X.Lean) {
+    // The set the recorded step's wakes left.
+    X.Sleep = PorSteps[CurSteps - 1].Sleep;
+    return;
+  }
+  // Wake every sleeper whose pending move conflicts with the executed
+  // operation: the orders now differ in observable effect. The
+  // dependence oracle (core/Dependence.h) is tid-aware -- a sleeping
+  // Join(t) wakes on any transition executed by t, and on nothing
+  // else t-related.
+  const Runtime &RT = X.RT;
+  X.Sleep.erase(X.T);
+  for (Tid S : X.Sleep)
+    if (!RT.liveSet().contains(S) ||
+        !independentTransitions(S, RT.pendingOf(S), X.T, X.Op))
+      X.Sleep.erase(S);
+  assert(PorSteps.size() == CurSteps - 1 && "PorSteps out of step");
+  PorSteps.push_back({X.Sleep, X.StepSleepHits, X.StepFairWakes});
 }
 
 void Explorer::finishStats(ExecState &X, const char *EndDetail,
@@ -1120,7 +1164,7 @@ Explorer::ExecEnd Explorer::runOneExecution() {
   ReplayLen = Stack.size();
   CurSteps = 0;
   // Keep the previous execution's steps that this one repeats.
-  CurTrace.truncate(LeanSteps);
+  keepSteps(LeanSteps);
 
   // A fresh detector per execution, like every other piece of per-
   // execution state: the stateless search replays establish all clocks
@@ -1184,7 +1228,7 @@ Explorer::ExecEnd Explorer::runOneExecution() {
   Cur = nullptr;
   // An execution that ended inside the lean prefix still holds the
   // previous execution's later steps.
-  CurTrace.truncate(CurSteps);
+  keepSteps(CurSteps);
   return finishExecution(X);
 }
 
@@ -1282,10 +1326,11 @@ CheckResult Explorer::run() {
       break;
     }
     // The next execution repeats this one up to the step that consumed
-    // the advanced record. Random walks advance nothing; POR steps and
-    // the Explain log take the full path.
-    if (Opts.Kind != SearchKind::RandomWalk && !Opts.Por && !Explain &&
-        Stack.size() <= Cursor)
+    // the advanced record. Random walks advance nothing; the Explain log
+    // and a POR search's profile, which notes every sleeping candidate,
+    // take the full path.
+    if (Opts.Kind != SearchKind::RandomWalk && !Explain &&
+        !(Opts.Por && Prof) && Stack.size() <= Cursor)
       LeanSteps = Stack.back().Step;
     if (Opts.CheckpointEvery && Opts.CheckpointSink &&
         Result.Stats.Executions % Opts.CheckpointEvery == 0) {

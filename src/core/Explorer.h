@@ -254,10 +254,16 @@ private:
   /// the thread from its trace instead of deciding again. \returns false,
   /// changing nothing, when the guard finds the step differs.
   bool decideLean(ExecState &X);
+  /// decideLean's part under POR: adds the sleep hits and fair wakes
+  /// this step's PorStep recorded.
+  void replayPorCounts();
   /// Accounts for the transition X.T that just ran and ended in \p St:
   /// counters, the fair scheduler, POR wakes, liveness, coverage and the
   /// bounds. \returns false, with X.End set, when the execution ends.
   bool afterTransition(ExecState &X, StepStatus St);
+  /// afterTransition's POR bookkeeping: the sleep set after the step's
+  /// transition, from its wakes or, for a lean step, its PorStep.
+  void wakeSleepers(ExecState &X);
   /// ChoiceSource: afterTransition and decide on the parked thread's
   /// stack.
   Tid onParked() override;
@@ -382,6 +388,20 @@ private:
   /// The execution in progress, for onParked.
   ExecState *Cur = nullptr;
   std::chrono::steady_clock::time_point StartTime;
+  /// What one step of a POR search did to the sleep set, kept so the
+  /// next execution can replay the step lean: the set after the
+  /// transition's wakes, and the sleep hits and fair wakes its decision
+  /// counted.
+  struct PorStep {
+    ThreadSet Sleep;
+    uint32_t SleepHits;
+    uint32_t FairWakes;
+  };
+  /// One PorStep per completed step of CurTrace under POR; empty
+  /// otherwise. keepSteps truncates it with CurTrace.
+  std::vector<PorStep> PorSteps;
+  /// Keeps the first \p N steps of CurTrace and PorSteps.
+  void keepSteps(uint64_t N);
 };
 
 } // namespace fsmc

@@ -110,9 +110,11 @@ CheckResult SearchTotals::finish(bool CapHit, bool TimedOut, bool Interrupted,
   R.Stats.ExecutionCapHit = CapHit;
   R.Stats.TimedOut = TimedOut;
   R.Stats.Interrupted = Interrupted;
-  // A first-bug stop leaves the flag clear, as the serial early stop does.
-  R.Stats.SearchExhausted =
-      !CapHit && !TimedOut && !Interrupted && !(Best && StopOnFirstBug);
+  // A first-bug stop leaves the flag clear, as the serial early stop does,
+  // and so does a quarantined unit: its subtree was never explored.
+  R.Stats.SearchExhausted = !CapHit && !TimedOut && !Interrupted &&
+                            !(Best && StopOnFirstBug) &&
+                            Stats.FleetQuarantined == 0;
   R.Stats.Seconds = Seconds;
   R.Profile = Profile;
   std::stable_sort(Incidents.begin(), Incidents.end(),

@@ -224,6 +224,26 @@ TEST(FleetCoordinator, RequeueBacksOffThenQuarantinesAfterKDeaths) {
   EXPECT_EQ(Res.Incidents[0].Schedule, encodeSchedule(leaf(1).Prefix));
 }
 
+TEST(FleetCoordinator, QuarantinedUnitLeavesTheSearchUnexhausted) {
+  CheckerOptions O = fleetOpts(1);
+  O.FleetQuarantine = 1;
+  Rig R(O);
+  R.tick(0);
+  // The one unit is the whole tree; its first death quarantines it.
+  R.ackSpawns(R.died(0, 0, SIGSEGV));
+  EXPECT_EQ(R.stats().FleetQuarantined, 1u);
+  R.tick(0.01);
+  ASSERT_TRUE(R.C.done());
+  CheckResult Res = R.C.finish(0.01);
+  EXPECT_EQ(Res.Stats.FleetQuarantined, 1u);
+  EXPECT_FALSE(Res.Stats.SearchExhausted);
+  EXPECT_FALSE(Res.Stats.ExecutionCapHit);
+  EXPECT_FALSE(Res.Stats.TimedOut);
+  EXPECT_FALSE(Res.Stats.Interrupted);
+  ASSERT_EQ(Res.Incidents.size(), 1u);
+  EXPECT_EQ(Res.Incidents[0].Kind, Verdict::Crash);
+}
+
 TEST(FleetCoordinator, DrainKilledStragglerIsReleasedWithoutPenalty) {
   Rig R(fleetOpts(1));
   R.tick(0);

@@ -9,6 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "FullPathOracle.h"
+
 #include "core/Checkpoint.h"
 #include "core/Explorer.h"
 #include "core/Schedule.h"
@@ -172,6 +174,117 @@ TestProgram prevYieldFlagFlips() {
   return P;
 }
 
+/// For POR: workers a and b touch separate atomics, so each sleeps in
+/// the other's branches. From execution ChangeAt on, a also posts the
+/// semaphore w waits on between its stores, where main posted it at the
+/// end before. A step of a then has another kind than the recorded one,
+/// after the sleep sets of earlier choice points were recorded, and w
+/// is enabled at the choice points after it.
+TestProgram postMovesIntoWorker(int ChangeAt) {
+  auto RunCounter = std::make_shared<int>(0);
+  TestProgram P;
+  P.Name = "nondet-por-post";
+  P.Body = [RunCounter, ChangeAt] {
+    bool Changed = (*RunCounter)++ >= ChangeAt;
+    auto X = std::make_shared<Atomic<int>>(0, "x");
+    auto Y = std::make_shared<Atomic<int>>(0, "y");
+    auto S = std::make_shared<Semaphore>(0, "s");
+    TestThread W([S] { S->wait(); }, "w");
+    TestThread A([X, S, Changed] {
+      X->store(1);
+      if (Changed)
+        S->post();
+      X->store(2);
+    }, "a");
+    TestThread B([Y] {
+      (void)Y->load();
+      (void)Y->load();
+    }, "b");
+    A.join();
+    B.join();
+    if (!Changed)
+      S->post();
+    W.join();
+  };
+  return P;
+}
+
+/// For POR: workers a and b touch separate atomics, so each sleeps in
+/// the other's branches. On every other execution b's second step is a
+/// store where it was a load: to y, the atomic b reads anyway, with
+/// \p Conflicting false, else to x, the atomic a writes. Every other
+/// execution then trips the lean guard at that step, and with
+/// \p Conflicting the sleep sets after it differ from the recorded ones.
+TestProgram secondStepFlips(bool Conflicting) {
+  auto RunCounter = std::make_shared<int>(0);
+  TestProgram P;
+  P.Name = "nondet-por-flip";
+  P.Body = [RunCounter, Conflicting] {
+    bool Odd = (*RunCounter)++ % 2 == 1;
+    auto X = std::make_shared<Atomic<int>>(0, "x");
+    auto Y = std::make_shared<Atomic<int>>(0, "y");
+    TestThread A([X] {
+      X->store(1);
+      X->store(2);
+    }, "a");
+    TestThread B([X, Y, Odd, Conflicting] {
+      (void)Y->load();
+      if (!Odd)
+        (void)Y->load();
+      else if (Conflicting)
+        X->store(3);
+      else
+        Y->store(3);
+      (void)Y->load();
+    }, "b");
+    A.join();
+    B.join();
+  };
+  return P;
+}
+
+/// For POR: workers a, b and c touch separate atomics, so each sleeps in
+/// the others' branches. Between its first and second access, a and b
+/// each make a data choice whose arity is 3 on every \p Period-th
+/// execution and 2 otherwise, so a replayed transition mismatches its
+/// choice record.
+TestProgram choiceArityChanges(int Period) {
+  auto RunCounter = std::make_shared<int>(0);
+  TestProgram P;
+  P.Name = "nondet-por-choice";
+  P.Body = [RunCounter, Period] {
+    int Arity = (*RunCounter)++ % Period == Period - 1 ? 3 : 2;
+    auto X = std::make_shared<Atomic<int>>(0, "x");
+    auto Y = std::make_shared<Atomic<int>>(0, "y");
+    auto Z = std::make_shared<Atomic<int>>(0, "z");
+    TestThread A([X, Arity] {
+      X->store(1);
+      (void)Runtime::current().chooseInt(Arity);
+      X->store(2);
+    }, "a");
+    TestThread B([Y, Arity] {
+      (void)Y->load();
+      (void)Runtime::current().chooseInt(Arity);
+      (void)Y->load();
+    }, "b");
+    TestThread C([Z] {
+      for (int I = 0; I < 3; ++I)
+        (void)Z->load();
+    }, "c");
+    A.join();
+    B.join();
+    C.join();
+  };
+  return P;
+}
+
+/// A fair POR search of \p P, on the full path with \p FullPath.
+CheckResult explorePor(const TestProgram &P, bool FullPath) {
+  CheckerOptions O;
+  O.Por = true;
+  return oracle::explore(P, O, FullPath);
+}
+
 /// The small exhaustive search the checkpoint tests interrupt: Peterson
 /// under a context bound, a few hundred executions.
 CheckerOptions boundedPetersonOpts() {
@@ -291,6 +404,60 @@ TEST(Divergence, PrevThreadYieldFlagFlipIsCaught) {
   EXPECT_EQ(R.Kind, Verdict::Pass);
   EXPECT_FALSE(R.foundBug());
   EXPECT_GE(R.Stats.Divergences, 1u);
+}
+
+// Under POR a lean step applies the sleep set its record holds. In the
+// tests below the program changes inside the replayed prefix. Where the
+// guard trips, that step and every later one are decided in full from
+// the sleep set the last lean step left. Each search must match, row for
+// row, the one an ExplainLog keeps on the full path.
+
+TEST(Divergence, PorLeanPrefixGuardFailureIsCaughtOnce) {
+  // The change comes on the second execution, where every recorded set
+  // is empty, and later, where they are not. It enables w at later
+  // choice points, so the search counts exactly one divergence.
+  for (int ChangeAt : {1, 20, 80}) {
+    SCOPED_TRACE("change at execution " + std::to_string(ChangeAt));
+    CheckResult Lean = explorePor(postMovesIntoWorker(ChangeAt), false);
+    CheckResult Full = explorePor(postMovesIntoWorker(ChangeAt), true);
+    EXPECT_EQ(Lean.Kind, Verdict::Pass);
+    EXPECT_EQ(Lean.Stats.Divergences, 1u);
+    EXPECT_TRUE(Lean.Stats.SearchExhausted);
+    EXPECT_GT(Lean.Stats.PorSleepHits, 0u);
+    EXPECT_GT(Lean.Stats.PorFairWakes, 0u);
+    oracle::expectSameStats(Lean.Stats, Full.Stats);
+  }
+}
+
+TEST(Divergence, PorSleepSetIsRecomputedPastAFailedGuard) {
+  // The guard trips on every other execution and nothing diverges. A
+  // recorded set applied at or past the failed guard would change the
+  // sleep hits and fair wakes.
+  for (bool Conflicting : {false, true}) {
+    SCOPED_TRACE(Conflicting ? "conflicting store" : "store to y");
+    CheckResult Lean = explorePor(secondStepFlips(Conflicting), false);
+    CheckResult Full = explorePor(secondStepFlips(Conflicting), true);
+    EXPECT_EQ(Lean.Kind, Verdict::Pass);
+    EXPECT_EQ(Lean.Stats.Divergences, 0u);
+    EXPECT_GT(Lean.Stats.PorSleepHits, 0u);
+    oracle::expectSameStats(Lean.Stats, Full.Stats);
+  }
+}
+
+TEST(Divergence, PorLeanStepEndedByAChoiceMismatchCountsItsDecision) {
+  // A replayed transition whose data choice mismatches its record ends
+  // the attempt before the sleep-set wakes. The full path counted that
+  // step's sleep hits and fair wakes at its decision, so a lean step must
+  // count them too.
+  for (int Period : {2, 5}) {
+    SCOPED_TRACE("period " + std::to_string(Period));
+    CheckResult Lean = explorePor(choiceArityChanges(Period), false);
+    CheckResult Full = explorePor(choiceArityChanges(Period), true);
+    EXPECT_EQ(Lean.Kind, Verdict::Pass);
+    EXPECT_GT(Lean.Stats.DivergenceRetries, 0u);
+    EXPECT_GT(Lean.Stats.PorFairWakes, 0u);
+    oracle::expectSameStats(Lean.Stats, Full.Stats);
+  }
 }
 
 //===----------------------------------------------------------------------===

@@ -2,12 +2,20 @@
 """Byte-identity sweep over the workload registry.
 
 Runs fsmc_run on every program `fsmc_run --list` prints, except the
-crashfault-* programs (they crash or hang on purpose), in three
+crashfault-* programs (they crash or hang on purpose), in five
 configurations, each capped at 3000 executions:
 
   --cb=1 --coverage      context bound 1 with state-signature coverage
   --cb=1 --memory=tso    the same search under store buffers
   --cb=1 --por=on        the same search with sleep-set reduction
+  --cb=2 --memory=tso --por=on
+                         sleep-set reduction under store buffers, where
+                         flush agents join the sleep sets
+  --unfair --depth=20 --por=on
+                         sleep-set reduction without fairness, where a
+                         state whose every move sleeps is pruned instead
+                         of woken; past the depth bound a random tail
+                         runs to the execution bound
 
 plus the dining-livelock divergence hunt at --bound=300, and two legs on
 the process engines:
@@ -50,6 +58,8 @@ CONFIGS = [
     ["--cb=1", "--coverage"],
     ["--cb=1", "--memory=tso"],
     ["--cb=1", "--por=on"],
+    ["--cb=2", "--memory=tso", "--por=on"],
+    ["--unfair", "--depth=20", "--por=on"],
 ]
 EXECUTIONS = 3000  # cap per configuration run; uncapped for EXTRA_RUNS
 EXTRA_RUNS = [("dining-livelock", ["--bound=300"])]
